@@ -36,6 +36,12 @@ __all__ = [
 FORMATS = ("ndjson", "csv", "json_array")
 
 _EPOCH_MS_FLOOR = 1e11  # numeric timestamps at or above this are milliseconds
+_EPOCH_MS_FLOOR_INT = int(_EPOCH_MS_FLOOR)
+_EXACT_INT = 1 << 53  # integers below this magnitude are exact as floats
+_INT64 = 1 << 63  # timestamps are kept as int64 milliseconds
+_BLOCK_BYTES = 4 << 20  # NDJSON decode unit; each block ends after a newline
+_BLANK = " \t\n\r\x0b\x0c"  # the whitespace bytes.strip() removes
+_scan_once = json.JSONDecoder().scan_once
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _MISSING = object()
@@ -67,15 +73,27 @@ class RawDataset:
 
 def parse_timestamp(value: Any) -> int:
     """Normalize a record timestamp to integer epoch milliseconds."""
+    if type(value) is int and -_EXACT_INT < value < _EXACT_INT:
+        # Exactly what the float arithmetic below gives in this range.
+        if value >= _EPOCH_MS_FLOOR_INT or value <= -_EPOCH_MS_FLOOR_INT:
+            return value
+        return value * 1000
     if isinstance(value, bool):
         raise ValueError("boolean is not a timestamp")
     if isinstance(value, (int, float)):
-        v = float(value)
+        try:
+            v = float(value)
+        except OverflowError as exc:
+            raise ValueError("timestamp out of range") from exc
         if v != v or v in (float("inf"), float("-inf")):
             raise ValueError("non-finite timestamp")
         if abs(v) >= _EPOCH_MS_FLOOR:
-            return int(round(v))
-        return int(round(v * 1000.0))
+            ms = int(round(v))
+        else:
+            ms = int(round(v * 1000.0))
+        if not -_INT64 <= ms < _INT64:
+            raise ValueError("timestamp out of range")
+        return ms
     if isinstance(value, str):
         text = value.strip()
         if not text:
@@ -107,6 +125,60 @@ def _coerce_csv_value(text: str) -> Any:
     return text
 
 
+def _ndjson_line(line: bytes) -> tuple["dict | None", "str | None"]:
+    """(record, error_reason) of one NDJSON line; the reference parse."""
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        return None, f"invalid JSON: {exc}"
+    if isinstance(record, dict):
+        return record, None
+    return None, "record is not a JSON object"
+
+
+def _iter_ndjson(
+    source: bytes, block_bytes: int = _BLOCK_BYTES
+) -> Iterator[tuple[int, "dict | None", "str | None"]]:
+    """NDJSON records as (index, record, reason), decoded block by block.
+
+    Lines split as bytes.splitlines() does (on \\n, \\r and \\r\\n only).
+    Each block is decoded once and its lines are scanned directly; a line
+    the scanner does not consume whole (whitespace, a BOM, another
+    encoding, bad JSON) and every line of a block that is not UTF-8 goes
+    through _ndjson_line, so results and error reasons are those of
+    json.loads on the line's bytes.
+    """
+    scan = _scan_once
+    index = 0
+    start = 0
+    size = len(source)
+    while start < size:
+        cut = source.find(b"\n", start + block_bytes - 1) + 1 or size
+        block = source[start:cut]
+        start = cut
+        try:
+            text = block.decode("utf-8", "surrogatepass")
+        except UnicodeDecodeError:
+            for raw in block.splitlines():
+                if raw.strip():
+                    yield (index, *_ndjson_line(raw))
+                    index += 1
+            continue
+        # "\r\n" becomes an empty line, which is skipped like any blank one.
+        for line in text.replace("\r", "\n").split("\n"):
+            if not line.strip(_BLANK):
+                continue
+            try:
+                record, end = scan(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end == len(line) and type(record) is dict:
+                yield index, record, None
+            else:
+                yield (index, *_ndjson_line(line.encode("utf-8", "surrogatepass")))
+            index += 1
+
+
 def iter_records(
     source: bytes, format: str
 ) -> Iterator[tuple[int, "Mapping[str, Any] | None", "str | None"]]:
@@ -117,20 +189,7 @@ def iter_records(
     skipped without consuming an index).
     """
     if format == "ndjson":
-        index = 0
-        for line in source.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                yield index, None, f"invalid JSON: {exc}"
-            else:
-                if isinstance(record, dict):
-                    yield index, record, None
-                else:
-                    yield index, None, "record is not a JSON object"
-            index += 1
+        yield from _iter_ndjson(source)
         return
     if format == "csv":
         try:

@@ -242,6 +242,27 @@ class QualityReport:
         return self.result(metric_id).score
 
 
+_CONFIG_STRINGS = (
+    "timestamp_field",
+    "sensor_id_field",
+    "mode_scope",
+    "duplicate_key",
+    "format_checks",
+    "dataset_format",
+    "domain",
+)
+
+
+def _config_number(label: str, value: Any) -> float:
+    """float(value) for an int or float config value, else ConfigError."""
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"{label} must be a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{label} is out of range") from exc
+
+
 @dataclass(frozen=True, slots=True)
 class AssessmentConfig:
     """Assessor-supplied knobs; defaults follow the metric definitions."""
@@ -262,6 +283,15 @@ class AssessmentConfig:
     created_at: str | None = None
 
     def __post_init__(self) -> None:
+        for name in _CONFIG_STRINGS:
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string")
+        if self.created_at is not None and not isinstance(self.created_at, str):
+            raise ConfigError("created_at must be a string or null")
+        for name in ("rae_crossover", "z_cutoff", "quantization_seconds"):
+            _config_number(name, getattr(self, name))
+        if not isinstance(self.weights, Mapping):
+            raise ConfigError("weights must map metric ids to numbers")
         if not self.timestamp_field or not self.sensor_id_field:
             raise ConfigError("timestamp_field and sensor_id_field must be named")
         if self.timestamp_field == self.sensor_id_field:
@@ -280,7 +310,10 @@ class AssessmentConfig:
             raise ConfigError(f"format_checks must be one of {FORMAT_CHECKS}")
         if self.dataset_format not in DATASET_FORMATS:
             raise ConfigError(f"dataset_format must be one of {DATASET_FORMATS}")
-        weights = {str(k): float(v) for k, v in dict(self.weights).items()}
+        weights = {
+            str(k): _config_number(f"weight for {k}", v)
+            for k, v in self.weights.items()
+        }
         unknown = set(weights) - set(METRIC_IDS)
         if unknown:
             raise ConfigError(f"weights name unknown metrics: {sorted(unknown)}")

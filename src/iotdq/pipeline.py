@@ -7,6 +7,15 @@ numbers as composing the list-based operations (parse_dataset,
 group_by_sensor, metric functions) while materializing no packet
 objects, which keeps million-record datasets inside a tight time and
 memory envelope.
+
+Records arrive from ingest.iter_records, which decodes NDJSON in blocks
+of a few MiB rather than line by line. Under format_checks="types_only"
+a record's schema verdict depends only on its keys and value types, so
+the fold keeps one verdict per such signature and builds no attribute
+dict for a record whose signature it has seen, unless the full_packet
+duplicate key needs one. Records with nested values and every record
+under format_checks="full" are judged one by one. _flags_for remains
+the only verdict implementation.
 """
 
 from __future__ import annotations
@@ -39,6 +48,36 @@ __all__ = ["assess", "assess_file"]
 logger = logging.getLogger(__name__)
 
 _PACK_BITS = 20  # sensor index bits in the packed duplicate key
+_MEMO_CAP = 1 << 12  # distinct record signatures whose verdict is kept
+_CLEAN = (False, False, False, ())
+_NO_EXEMPT: frozenset[str] = frozenset()
+
+
+def _attributes(
+    record: dict[str, Any], ts_field: str, sid_field: str
+) -> tuple[dict[str, Any], bool]:
+    """A record's attributes, flattened, and whether any value was nested."""
+    attrs: dict[str, Any] = {}
+    for key, value in record.items():
+        if key == ts_field or key == sid_field:
+            continue
+        tv = type(value)
+        if tv is dict:
+            return flatten_attributes(record, frozenset((ts_field, sid_field))), True
+        if tv is list or tv is tuple:
+            raise ValueError(f"attribute {key!r} has a non-scalar value")
+        attrs[key] = value
+    return attrs, False
+
+
+def _verdict(
+    attrs: dict[str, Any], prepared: tuple, full_checks: bool
+) -> tuple[bool, bool, bool, tuple]:
+    """(missing, unknown, format_error, detail); detail is empty when clean."""
+    flags = _flags_for(attrs, prepared, full_checks, _NO_EXEMPT, collect=False)
+    if not any(flags[:3]):
+        return _CLEAN
+    return _flags_for(attrs, prepared, full_checks, _NO_EXEMPT, collect=True)
 
 
 def _sensor_iat_arrays(buffers: list[array]) -> list[np.ndarray]:
@@ -69,7 +108,6 @@ def assess(
     ts_field = config.timestamp_field
     sid_field = config.sensor_id_field
     id_ts_key = config.duplicate_key == "id_timestamp"
-    no_exempt: frozenset[str] = frozenset()
 
     total = 0
     m4_bad = 0
@@ -88,6 +126,10 @@ def assess(
     raw_counts: list[int] = []
     ts_buffers: list[array] = []
     seen: set = set()
+
+    # Under types_only checks a record's verdict depends only on its keys
+    # and value types, so it is computed once per such signature.
+    memo: "dict[tuple, tuple] | None" = None if full_checks else {}
 
     for index, record, reason in iter_records(data, fmt):
         if record is None:
@@ -108,37 +150,31 @@ def assess(
                 sensor_id = raw_id
             else:
                 raise ValueError("sensor id must be a non-empty string or integer")
-            attrs: dict[str, Any] = {}
-            for key, value in record.items():
-                if key == ts_field or key == sid_field:
-                    continue
-                tv = type(value)
-                if tv is dict:
-                    attrs = flatten_attributes(
-                        record, frozenset((ts_field, sid_field))
-                    )
-                    break
-                if tv is list or tv is tuple:
-                    raise ValueError(f"attribute {key!r} has a non-scalar value")
-                attrs[key] = value
+            verdict = None
+            if memo is not None:
+                signature = (*record, *map(type, record.values()))
+                verdict = memo.get(signature)
+            attrs = None
+            if verdict is None or not id_ts_key:
+                attrs, nested = _attributes(record, ts_field, sid_field)
         except ValueError as exc:
             error_count += 1
             if len(errors) < EVIDENCE_CAP:
                 errors.append(IngestError(index, str(exc)))
             continue
 
-        missing, unknown, format_error, _ = _flags_for(
-            attrs, prepared, full_checks, no_exempt, collect=False
-        )
+        if verdict is None:
+            verdict = _verdict(attrs, prepared, full_checks)
+            # A memoised signature never holds a nested or list value.
+            if memo is not None and not nested and len(memo) < _MEMO_CAP:
+                memo[signature] = verdict
+        missing, unknown, format_error, detail = verdict
         total += 1
-        if missing or unknown or format_error:
+        if detail:
             m4_bad += missing
             m5_bad += unknown
             m6_bad += format_error
-            _, _, _, detail = _flags_for(
-                attrs, prepared, full_checks, no_exempt, collect=True
-            )
-            for attribute, kind in detail or ():
+            for attribute, kind in detail:
                 if kind == "missing":
                     m4_attrs[attribute] += 1
                 elif kind == "unknown":
@@ -156,8 +192,9 @@ def assess(
         if id_ts_key and sidx < (1 << _PACK_BITS):
             key: Any = (timestamp_ms << _PACK_BITS) | sidx
         else:
+            # attrs is None only under id_timestamp, which reads no attributes.
             key = packet_key_fields(
-                sensor_id, timestamp_ms, attrs, config.duplicate_key
+                sensor_id, timestamp_ms, attrs or {}, config.duplicate_key
             )
         if key in seen:
             dup_count += 1

@@ -110,6 +110,21 @@ class TestAssess:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("doc", [b'{"weights": 5}', b'{"z_cutoff": "x"}'])
+    def test_wrongly_typed_config_exits_1(self, dataset, capsys, doc) -> None:
+        cfg = dataset["tmp"] / "config.json"
+        cfg.write_bytes(doc)
+        code = main(
+            [
+                "assess",
+                "--data", str(dataset["data"]),
+                "--schema", str(dataset["schema"]),
+                "--config", str(cfg),
+            ]
+        )
+        assert code == 1
+        assert "must" in capsys.readouterr().err
+
     def test_json_format_spelling_maps_to_json_array(self, dataset) -> None:
         doc = [
             {"sensor_id": "a", "timestamp": 0, "pm25": 1.0, "temperature": 20.0},

@@ -20,6 +20,8 @@ from iotdq.ingest import (
     parse_timestamp,
 )
 from iotdq.model import AssessmentConfig, DataPacket
+from iotdq.pipeline import assess
+from iotdq.schema import parse_schema
 
 CFG = AssessmentConfig()
 
@@ -51,6 +53,49 @@ class TestParseTimestamp:
     def test_invalid_values_rejected(self, value) -> None:
         with pytest.raises(ValueError):
             parse_timestamp(value)
+
+
+    def test_integer_too_large_for_a_float_is_value_error(self) -> None:
+        with pytest.raises(ValueError, match="out of range"):
+            parse_timestamp(10**400)
+
+    @pytest.mark.parametrize("value", [2**63, -(2**64), 1e300, -1e19])
+    def test_beyond_int64_milliseconds_is_value_error(self, value) -> None:
+        with pytest.raises(ValueError, match="out of range"):
+            parse_timestamp(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, 1, -1, 99_999_999_999, 100_000_000_000, -100_000_000_000,
+         -99_999_999_999, 2**53 - 1, -(2**53) + 1, 2**53, 2**53 + 1],
+    )
+    def test_integer_fast_path_boundaries(self, value: int) -> None:
+        assert parse_timestamp(value) == _float_path(value)
+
+    @given(st.integers(min_value=-(2**54), max_value=2**54))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_fast_path_matches_float_arithmetic(self, value: int) -> None:
+        assert parse_timestamp(value) == _float_path(value)
+
+    def test_huge_integer_timestamp_is_a_malformed_record(self) -> None:
+        big = b"9" * 401
+        data = (
+            ndjson_bytes([{"sensor_id": "a", "timestamp": 60 * i} for i in range(3)])
+            + b'{"sensor_id":"a","timestamp":' + big + b"}\n"
+        )
+        packets, errors = parse_dataset(data, "ndjson", CFG)
+        assert len(packets) == 3
+        assert [(e.record_index, e.reason) for e in errors] == [
+            (3, "timestamp out of range")
+        ]
+        report = assess(data, parse_schema({}), CFG)
+        assert report.result("M3").denominator_count == 3
+
+
+def _float_path(value: int) -> int:
+    """The float arithmetic that parse_timestamp applies to any number."""
+    v = float(value)
+    return int(round(v)) if abs(v) >= 1e11 else int(round(v * 1000.0))
 
 
 class TestNdjson:

@@ -292,3 +292,24 @@ class TestAssessmentConfig:
             AssessmentConfig.from_json(b"[1, 2]")
         with pytest.raises(ConfigError):
             AssessmentConfig.from_json(b"not json")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b'{"weights": 5}',
+            b'{"weights": "ab"}',
+            b'{"weights": {"M1": "x"}}',
+            b'{"weights": {"M1": null}}',
+            b'{"weights": {"M1": 1%s}}' % (b"0" * 400),
+            b'{"z_cutoff": "x"}',
+            b'{"rae_crossover": null}',
+            b'{"quantization_seconds": [60]}',
+            b'{"timestamp_field": ["ts"]}',
+            b'{"domain": 1}',
+            b'{"created_at": 5}',
+        ],
+        ids=lambda doc: doc.decode()[:32],
+    )
+    def test_wrongly_typed_json_value_is_config_error(self, doc: bytes) -> None:
+        with pytest.raises(ConfigError):
+            AssessmentConfig.from_json(doc)
