@@ -19,71 +19,31 @@ from .errors import (
     SealingError,
     WorkflowError,
 )
-from .ingest import (
-    IngestError,
-    RawDataset,
-    compute_iats,
-    group_by_sensor,
-    parse_dataset,
-)
-from .metrics_iat import (
-    OutlierLabel,
-    RaeValue,
-    estimate_mode,
-    m1_regularity,
-    m2_outliers,
-    m3_duplicates,
-)
-from .metrics_schema import m4_mandatory, m5_unknown, m6_format
+from .metrics_iat import estimate_mode
 from .model import (
     AssessmentConfig,
-    DataPacket,
     IatModel,
     MetricResult,
     QualityReport,
-    SensorStream,
     registry,
 )
 from .pipeline import assess, assess_file
 from .report import aggregate, deserialize_report, serialize_report
-from .schema import (
-    AttributeSpec,
-    PacketVerdict,
-    SchemaDocument,
-    parse_schema,
-    validate_packet,
-)
+from .schema import AttributeSpec, SchemaDocument, parse_schema
 from .synthgen import GenSpec, GroundTruth, generate, iat_histogram
 from .version import __version__
 
 __all__ = [
     "__version__",
     "registry",
-    "DataPacket",
-    "SensorStream",
     "IatModel",
     "MetricResult",
     "QualityReport",
     "AssessmentConfig",
-    "IngestError",
-    "RawDataset",
-    "parse_dataset",
-    "group_by_sensor",
-    "compute_iats",
     "SchemaDocument",
     "AttributeSpec",
-    "PacketVerdict",
     "parse_schema",
-    "validate_packet",
-    "RaeValue",
-    "OutlierLabel",
     "estimate_mode",
-    "m1_regularity",
-    "m2_outliers",
-    "m3_duplicates",
-    "m4_mandatory",
-    "m5_unknown",
-    "m6_format",
     "aggregate",
     "serialize_report",
     "deserialize_report",

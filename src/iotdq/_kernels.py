@@ -1,70 +1,16 @@
-"""Hot numeric kernels: JIT-compiled loops with a pure-numpy fallback.
-
-The JIT path is selected automatically when numba imports cleanly; set
-DQ_NO_NUMBA=1 (or any value other than 0/false) to force the numpy path.
-Both backends are exported through IMPLS so tests and benchmarks can
-compare them on identical inputs.
-"""
+"""Numeric kernels of the IAT metrics, vectorised with NumPy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["BACKEND", "IMPLS", "m1_sums", "mod_z", "mode_of_sorted", "warmup"]
+__all__ = ["m1_sums", "mod_z", "mode_of_sorted"]
 
 
-def _loop_m1_sums(
+def m1_sums(
     xq: np.ndarray, mode: float, crossover: float
 ) -> tuple[float, float, int, int]:
-    num = 0.0
-    poor_den = 0.0
-    good = 0
-    poor = 0
-    for i in range(xq.shape[0]):
-        rae = abs(xq[i] - mode) / mode
-        if rae <= crossover:
-            num += 1.0 - rae / crossover
-            good += 1
-        else:
-            poor_den += rae / crossover
-            poor += 1
-    return num, poor_den, good, poor
-
-
-def _loop_mod_z(
-    x: np.ndarray, center: float, denom: float, constant: float
-) -> np.ndarray:
-    out = np.empty(x.shape[0], dtype=np.float64)
-    for i in range(x.shape[0]):
-        out[i] = constant * (x[i] - center) / denom
-    return out
-
-
-def _loop_mode_of_sorted(xs: np.ndarray) -> tuple[float, int]:
-    best_val = xs[0]
-    best_count = 1
-    cur_val = xs[0]
-    cur_count = 1
-    for i in range(1, xs.shape[0]):
-        if xs[i] == cur_val:
-            cur_count += 1
-        else:
-            if cur_count > best_count:
-                best_val = cur_val
-                best_count = cur_count
-            cur_val = xs[i]
-            cur_count = 1
-    if cur_count > best_count:
-        best_val = cur_val
-        best_count = cur_count
-    return best_val, best_count
-
-
-def _np_m1_sums(
-    xq: np.ndarray, mode: float, crossover: float
-) -> tuple[float, float, int, int]:
+    """(numerator, poor denominator, good count, poor count) of M1 terms."""
     rae = np.abs(xq - mode) / mode
     good_mask = rae <= crossover
     good = int(np.count_nonzero(good_mask))
@@ -73,54 +19,14 @@ def _np_m1_sums(
     return num, poor_den, good, int(xq.shape[0] - good)
 
 
-def _np_mod_z(
+def mod_z(
     x: np.ndarray, center: float, denom: float, constant: float
 ) -> np.ndarray:
     return constant * (np.asarray(x, dtype=np.float64) - center) / denom
 
 
-def _np_mode_of_sorted(xs: np.ndarray) -> tuple[float, int]:
+def mode_of_sorted(xs: np.ndarray) -> tuple[float, int]:
+    """Most frequent value and its count; ties break to the smallest value."""
     vals, counts = np.unique(xs, return_counts=True)
     i = int(np.argmax(counts))
     return float(vals[i]), int(counts[i])
-
-
-IMPLS: dict[str, dict[str, object]] = {
-    "numpy": {
-        "m1_sums": _np_m1_sums,
-        "mod_z": _np_mod_z,
-        "mode_of_sorted": _np_mode_of_sorted,
-    }
-}
-
-_flag = os.environ.get("DQ_NO_NUMBA", "").strip().lower()
-_want_numba = _flag in ("", "0", "false", "no")
-
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:
-        _want_numba = False
-
-if _want_numba:
-    IMPLS["numba"] = {
-        "m1_sums": njit(cache=True)(_loop_m1_sums),
-        "mod_z": njit(cache=True)(_loop_mod_z),
-        "mode_of_sorted": njit(cache=True)(_loop_mode_of_sorted),
-    }
-    BACKEND = "numba"
-else:
-    BACKEND = "numpy"
-
-_active = IMPLS[BACKEND]
-m1_sums = _active["m1_sums"]
-mod_z = _active["mod_z"]
-mode_of_sorted = _active["mode_of_sorted"]
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so later calls run at steady-state speed."""
-    probe = np.array([60.0, 60.0, 61.0], dtype=np.float64)
-    m1_sums(probe, 60.0, 0.5)
-    mod_z(probe, 60.0, 1.0, 0.6745)
-    mode_of_sorted(probe)

@@ -18,9 +18,8 @@ from .errors import (
     IotDqError,
     ReportNotReady,
 )
-from .ingest import parse_dataset
 from .model import DIMENSIONS, METRIC_IDS, AssessmentConfig
-from .pipeline import assess
+from .pipeline import assess, sensor_iats
 from .report import serialize_report
 from .schema import parse_schema
 from .synthgen import DEFAULT_SCHEMA, GenSpec, generate, iat_histogram
@@ -107,15 +106,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_histogram(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     fmt = _FORMAT_SPELLINGS[args.format] if args.format else config.dataset_format
-    packets, _errors = parse_dataset(_read(args.data), fmt, config)
-    from .ingest import group_by_sensor
-
     lines = ["sensor_id,bin_seconds,count"]
-    for stream in group_by_sensor(packets, config.duplicate_key):
-        for bin_value, count in iat_histogram(
-            stream.iat_seconds, args.bin_width
-        ):
-            lines.append(f"{stream.sensor_id},{bin_value:g},{count}")
+    for sensor_id, iats in sensor_iats(_read(args.data), config, format=fmt):
+        for bin_value, count in iat_histogram(iats, args.bin_width):
+            lines.append(f"{sensor_id},{bin_value:g},{count}")
     output = ("\n".join(lines) + "\n").encode("utf-8")
     _write(args.out or "-", output)
     return 0

@@ -1,4 +1,4 @@
-"""Dataset ingestion: NDJSON, CSV, and JSON-array sources to packets.
+"""Dataset ingestion: NDJSON, CSV, and JSON-array sources to records.
 
 Timestamps are normalized to integer epoch milliseconds. Numeric values
 below 1e11 are read as epoch seconds (fractions allowed), larger ones as
@@ -12,26 +12,12 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
-import numpy as np
+from .errors import IngestFormatError
 
-from .errors import DatasetRejectedError, IngestFormatError
-from .metrics_iat import packet_key
-from .model import AssessmentConfig, DataPacket, SensorStream
-
-__all__ = [
-    "FORMATS",
-    "IngestError",
-    "RawDataset",
-    "parse_timestamp",
-    "iter_records",
-    "parse_dataset",
-    "group_by_sensor",
-    "compute_iats",
-]
+__all__ = ["FORMATS", "parse_timestamp", "iter_records"]
 
 FORMATS = ("ndjson", "csv", "json_array")
 
@@ -45,30 +31,6 @@ _scan_once = json.JSONDecoder().scan_once
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _MISSING = object()
-
-
-@dataclass(frozen=True, slots=True)
-class IngestError:
-    """One malformed record: its position in the source and the cause."""
-
-    record_index: int
-    reason: str
-
-
-@dataclass(slots=True)
-class RawDataset:
-    """A dataset source awaiting parsing; packet_count is filled post-parse."""
-
-    format: str
-    source: bytes
-    packet_count: int = 0
-
-    def parse(
-        self, config: AssessmentConfig
-    ) -> tuple[list[DataPacket], list[IngestError]]:
-        packets, errors = parse_dataset(self.source, self.format, config)
-        self.packet_count = len(packets)
-        return packets, errors
 
 
 def parse_timestamp(value: Any) -> int:
@@ -131,6 +93,8 @@ def _ndjson_line(line: bytes) -> tuple["dict | None", "str | None"]:
         record = json.loads(line)
     except ValueError as exc:
         return None, f"invalid JSON: {exc}"
+    except RecursionError:
+        return None, "invalid JSON: nesting too deep"
     if isinstance(record, dict):
         return record, None
     return None, "record is not a JSON object"
@@ -170,7 +134,7 @@ def _iter_ndjson(
                 continue
             try:
                 record, end = scan(line, 0)
-            except (StopIteration, ValueError):
+            except (StopIteration, ValueError, RecursionError):
                 end = -1
             if end == len(line) and type(record) is dict:
                 yield index, record, None
@@ -215,6 +179,8 @@ def iter_records(
             doc = json.loads(source)
         except ValueError as exc:
             raise IngestFormatError(f"source is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise IngestFormatError("source JSON is nested too deeply") from exc
         if not isinstance(doc, list):
             raise IngestFormatError("JSON source must be an array of objects")
         for index, record in enumerate(doc):
@@ -245,98 +211,3 @@ def flatten_attributes(
             else:
                 out[path] = value
     return out
-
-
-def _packet_from_record(
-    record: Mapping[str, Any], config: AssessmentConfig
-) -> DataPacket:
-    if config.timestamp_field not in record:
-        raise ValueError(f"missing timestamp field {config.timestamp_field!r}")
-    timestamp_ms = parse_timestamp(record[config.timestamp_field])
-    raw_id = record.get(config.sensor_id_field)
-    if isinstance(raw_id, bool) or raw_id is None:
-        raise ValueError(f"missing sensor id field {config.sensor_id_field!r}")
-    if isinstance(raw_id, int):
-        sensor_id = str(raw_id)
-    elif isinstance(raw_id, str) and raw_id.strip():
-        sensor_id = raw_id
-    else:
-        raise ValueError("sensor id must be a non-empty string or integer")
-    skip = frozenset((config.timestamp_field, config.sensor_id_field))
-    attributes = flatten_attributes(record, skip)
-    return DataPacket(
-        sensor_id=sensor_id, timestamp_ms=timestamp_ms, attributes=attributes
-    )
-
-
-def parse_dataset(
-    source: bytes, format: str, config: AssessmentConfig
-) -> tuple[list[DataPacket], list[IngestError]]:
-    """Parse raw bytes into packets; malformed records become IngestErrors.
-
-    Raises DatasetRejectedError when more than half of the records are
-    malformed, and IngestFormatError for unreadable sources.
-    """
-    packets: list[DataPacket] = []
-    errors: list[IngestError] = []
-    for index, record, reason in iter_records(source, format):
-        if record is None:
-            errors.append(IngestError(index, reason or "malformed record"))
-            continue
-        try:
-            packets.append(_packet_from_record(record, config))
-        except ValueError as exc:
-            errors.append(IngestError(index, str(exc)))
-    total = len(packets) + len(errors)
-    if total and len(errors) * 2 > total:
-        raise DatasetRejectedError(
-            f"{len(errors)} of {total} records malformed (more than half)"
-        )
-    return packets, errors
-
-
-def _iats_from_sorted(
-    packets: Sequence[DataPacket], duplicate_key: str
-) -> tuple[np.ndarray, int]:
-    """Deduplicated IATs (seconds) and unique count from sorted packets."""
-    seen: set = set()
-    ts: list[int] = []
-    for p in packets:
-        key = packet_key(p, duplicate_key)
-        if key not in seen:
-            seen.add(key)
-            ts.append(p.timestamp_ms)
-    arr = np.asarray(ts, dtype=np.int64)
-    if arr.size < 2:
-        return np.empty(0, dtype=np.float64), int(arr.size)
-    return np.diff(arr) / 1000.0, int(arr.size)
-
-
-def group_by_sensor(
-    packets: Sequence[DataPacket], duplicate_key: str = "id_timestamp"
-) -> list[SensorStream]:
-    """One time-sorted stream per sensor, first-appearance order, stable ties."""
-    order: dict[str, list[DataPacket]] = {}
-    for p in packets:
-        order.setdefault(p.sensor_id, []).append(p)
-    streams: list[SensorStream] = []
-    for sensor_id, group in order.items():
-        group.sort(key=lambda p: p.timestamp_ms)
-        iats, unique = _iats_from_sorted(group, duplicate_key)
-        streams.append(
-            SensorStream(
-                sensor_id=sensor_id,
-                packets=tuple(group),
-                iat_seconds=iats,
-                unique_count=unique,
-            )
-        )
-    return streams
-
-
-def compute_iats(
-    stream: SensorStream, duplicate_key: str = "id_timestamp"
-) -> list[float]:
-    """Inter-arrival times in seconds over the deduplicated sorted stream."""
-    iats, _unique = _iats_from_sorted(stream.packets, duplicate_key)
-    return [float(x) for x in iats]

@@ -1,4 +1,4 @@
-"""Inter-arrival-time metrics: regularity (M1), outliers (M2), duplicates (M3).
+"""Inter-arrival-time metrics: regularity (M1), outliers (M2), duplicate keys (M3).
 
 M1 evaluates relative absolute error on quantization-rounded IATs (the
 same binning that elected the mode), so jitter smaller than half a bin
@@ -10,31 +10,22 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .errors import DegenerateIatError
-from .model import DataPacket, IatModel, MetricResult
+from .model import IatModel, MetricResult
 
 __all__ = [
     "MOD_Z_CONSTANT",
     "MEAN_AD_CONSTANT",
     "MIN_QUANTIZATION",
-    "RaeValue",
-    "OutlierLabel",
     "quantize",
     "estimate_mode",
-    "rae_values",
-    "label_outliers",
     "z_scores",
-    "m1_regularity",
     "m1_from_sums",
-    "m2_outliers",
-    "m3_duplicates",
-    "packet_key",
     "packet_key_fields",
 ]
 
@@ -42,27 +33,6 @@ MOD_Z_CONSTANT = 0.6745
 MEAN_AD_CONSTANT = 0.7979
 MIN_QUANTIZATION = 0.001
 EVIDENCE_CAP = 50
-
-
-@dataclass(frozen=True, slots=True)
-class RaeValue:
-    """One IAT (quantized representation) and its relative absolute error."""
-
-    iat: float
-    rae: float
-
-    def __post_init__(self) -> None:
-        if self.rae < 0.0:
-            raise ValueError("rae must be non-negative")
-
-
-@dataclass(frozen=True, slots=True)
-class OutlierLabel:
-    """One IAT, its modified z-score, and the outlier decision."""
-
-    iat: float
-    z: float
-    is_outlier: bool
 
 
 def quantize(values: "Sequence[float] | np.ndarray", quantization: float) -> np.ndarray:
@@ -104,15 +74,6 @@ def estimate_mode(iats: "Sequence[float] | np.ndarray", quantization: float) -> 
     return IatModel(mode=mode, quantization=q, mad=mad, fallback_mean_ad=fallback)
 
 
-def rae_values(
-    iats: "Sequence[float] | np.ndarray", model: IatModel
-) -> list[RaeValue]:
-    """Per-IAT relative absolute errors on the quantized representation."""
-    binned = quantize(np.asarray(iats, dtype=np.float64), model.quantization)
-    rae = np.abs(binned - model.mode) / model.mode
-    return [RaeValue(float(x), float(r)) for x, r in zip(binned, rae)]
-
-
 def z_scores(
     iats: "Sequence[float] | np.ndarray", model: IatModel
 ) -> tuple[np.ndarray, str]:
@@ -126,19 +87,6 @@ def z_scores(
             "mean_ad",
         )
     return np.zeros(arr.shape[0], dtype=np.float64), "zero_spread"
-
-
-def label_outliers(
-    iats: "Sequence[float] | np.ndarray",
-    model: IatModel,
-    z_cutoff: float = 3.5,
-) -> list[OutlierLabel]:
-    arr = np.asarray(iats, dtype=np.float64)
-    z, _basis = z_scores(arr, model)
-    return [
-        OutlierLabel(float(x), float(s), bool(abs(s) > z_cutoff))
-        for x, s in zip(arr, z)
-    ]
 
 
 def m1_from_sums(
@@ -172,57 +120,6 @@ def m1_from_sums(
     )
 
 
-def m1_regularity(
-    iats: "Sequence[float] | np.ndarray",
-    model: IatModel,
-    crossover: float = 0.5,
-) -> MetricResult:
-    """Regularity score: rewards IATs near the mode, penalizes the rest.
-
-    Each IAT with RAE <= crossover contributes (1 - RAE/crossover) to the
-    numerator and 1 to the denominator; an IAT beyond the crossover
-    contributes RAE/crossover to the denominator only.
-    """
-    if not (crossover > 0.0):
-        raise ValueError("crossover must be positive")
-    arr = np.asarray(iats, dtype=np.float64)
-    if arr.size == 0:
-        return MetricResult.inapplicable("M1")
-    binned = quantize(arr, model.quantization)
-    num, poor_den, good, poor = _kernels.m1_sums(binned, model.mode, crossover)
-    return m1_from_sums(
-        float(num),
-        float(poor_den),
-        int(good),
-        int(poor),
-        crossover,
-        {"mode": model.mode, "quantization": model.quantization},
-    )
-
-
-def m2_outliers(
-    iats: "Sequence[float] | np.ndarray",
-    model: IatModel,
-    z_cutoff: float = 3.5,
-) -> MetricResult:
-    """Outlier score: share of IATs whose |modified z| stays at or below cutoff."""
-    if not (z_cutoff > 0.0):
-        raise ValueError("z_cutoff must be positive")
-    arr = np.asarray(iats, dtype=np.float64)
-    if arr.size == 0:
-        return MetricResult.inapplicable("M2")
-    z, basis = z_scores(arr, model)
-    absz = np.abs(z)
-    outliers = np.nonzero(absz > z_cutoff)[0]
-    evidence: dict[str, Any] = {
-        "cutoff": float(z_cutoff),
-        "spread_basis": basis,
-        "max_abs_z": float(absz.max()),
-        "outlier_indices": [int(i) for i in outliers[:EVIDENCE_CAP]],
-    }
-    return MetricResult.ratio("M2", int(outliers.size), int(arr.size), evidence)
-
-
 def packet_key_fields(
     sensor_id: str,
     timestamp_ms: int,
@@ -240,35 +137,3 @@ def packet_key_fields(
         )
         return hashlib.blake2b(canon.encode("utf-8"), digest_size=16).digest()
     raise ValueError(f"unknown duplicate_key: {duplicate_key!r}")
-
-
-def packet_key(packet: DataPacket, duplicate_key: str) -> "tuple[str, int] | bytes":
-    return packet_key_fields(
-        packet.sensor_id, packet.timestamp_ms, packet.attributes, duplicate_key
-    )
-
-
-def m3_duplicates(
-    packets: Sequence[DataPacket], duplicate_key: str = "id_timestamp"
-) -> MetricResult:
-    """Uniqueness score: share of packets whose key was not seen before."""
-    total = len(packets)
-    if total == 0:
-        return MetricResult.inapplicable("M3")
-    seen: set = set()
-    dup_count = 0
-    examples: list[list] = []
-    for p in packets:
-        key = packet_key(p, duplicate_key)
-        if key in seen:
-            dup_count += 1
-            if len(examples) < EVIDENCE_CAP:
-                examples.append([p.sensor_id, p.timestamp_ms])
-        else:
-            seen.add(key)
-    evidence = {
-        "duplicate_key": duplicate_key,
-        "distinct_keys": len(seen),
-        "examples": examples,
-    }
-    return MetricResult.ratio("M3", dup_count, total, evidence)

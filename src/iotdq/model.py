@@ -11,16 +11,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from .errors import AggregationError, ConfigError
 
 __all__ = [
     "Scalar",
     "METRIC_IDS",
     "DIMENSIONS",
-    "DataPacket",
-    "SensorStream",
     "IatModel",
     "MetricResult",
     "QualityReport",
@@ -59,52 +55,6 @@ DATASET_FORMATS = ("ndjson", "csv", "json_array")
 def registry() -> list[tuple[str, str, str]]:
     """Return the six (metric_id, dimension, description) entries."""
     return [(m, DIMENSIONS[m], _DESCRIPTIONS[m]) for m in METRIC_IDS]
-
-
-@dataclass(frozen=True, slots=True)
-class DataPacket:
-    """One sensor observation: identity, instant, and scalar attributes."""
-
-    sensor_id: str
-    timestamp_ms: int
-    attributes: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.sensor_id:
-            raise ValueError("sensor_id must be non-empty")
-        if not isinstance(self.timestamp_ms, int) or isinstance(self.timestamp_ms, bool):
-            raise TypeError("timestamp_ms must be an integer epoch-milliseconds value")
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class SensorStream:
-    """Time-sorted packets of one sensor plus derived inter-arrival times.
-
-    iat_seconds is computed on the deduplicated packet sequence, so its
-    length is max(0, unique_count - 1) rather than tracking raw packets.
-    """
-
-    sensor_id: str
-    packets: tuple[DataPacket, ...]
-    iat_seconds: np.ndarray
-    unique_count: int
-
-    def __post_init__(self) -> None:
-        if not self.sensor_id:
-            raise ValueError("sensor_id must be non-empty")
-        ts = [p.timestamp_ms for p in self.packets]
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError("packets must be sorted by timestamp")
-        if not (0 <= self.unique_count <= len(self.packets)):
-            raise ValueError("unique_count out of range")
-        iats = np.asarray(self.iat_seconds, dtype=np.float64)
-        if iats.ndim != 1:
-            raise ValueError("iat_seconds must be one-dimensional")
-        if len(iats) != max(0, self.unique_count - 1):
-            raise ValueError("iat_seconds length must be max(0, unique_count - 1)")
-        if iats.size and float(iats.min()) < 0.0:
-            raise ValueError("inter-arrival times must be non-negative")
-        object.__setattr__(self, "iat_seconds", iats)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,12 +1,12 @@
 """End-to-end assessment of raw dataset bytes.
 
-assess() folds records in one streaming pass: per-record schema flags,
-duplicate detection, and per-sensor timestamp collection, then runs the
-IAT metrics on the deduplicated per-sensor gaps. It produces the same
-numbers as composing the list-based operations (parse_dataset,
-group_by_sensor, metric functions) while materializing no packet
-objects, which keeps million-record datasets inside a tight time and
-memory envelope.
+_fold reads records in one streaming pass: per-record normalisation,
+schema flags, duplicate detection, and per-sensor timestamp collection.
+assess() then runs the IAT metrics on the deduplicated per-sensor gaps
+and assembles the report; sensor_iats() returns those gaps alone, for
+the histogram command. The fold is the only scoring code: it
+materializes no packet objects, which keeps million-record datasets
+inside a tight time and memory envelope.
 
 Records arrive from ingest.iter_records, which decodes NDJSON in blocks
 of a few MiB rather than line by line. Under format_checks="types_only"
@@ -24,13 +24,13 @@ import hashlib
 import logging
 from array import array
 from collections import Counter
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import DatasetRejectedError, DegenerateIatError
-from .ingest import IngestError, flatten_attributes, iter_records, parse_timestamp
+from .ingest import flatten_attributes, iter_records, parse_timestamp
 from .metrics_iat import (
     EVIDENCE_CAP,
     estimate_mode,
@@ -43,14 +43,14 @@ from .model import AssessmentConfig, MetricResult, QualityReport
 from .report import aggregate
 from .schema import FORMAT_KINDS, SchemaDocument, _flags_for
 
-__all__ = ["assess", "assess_file"]
+__all__ = ["assess", "assess_file", "sensor_iats"]
 
 logger = logging.getLogger(__name__)
 
 _PACK_BITS = 20  # sensor index bits in the packed duplicate key
 _MEMO_CAP = 1 << 12  # distinct record signatures whose verdict is kept
 _CLEAN = (False, False, False, ())
-_NO_EXEMPT: frozenset[str] = frozenset()
+_NO_SCHEMA = SchemaDocument(attributes={}, mandatory=frozenset())
 
 
 def _attributes(
@@ -74,35 +74,47 @@ def _verdict(
     attrs: dict[str, Any], prepared: tuple, full_checks: bool
 ) -> tuple[bool, bool, bool, tuple]:
     """(missing, unknown, format_error, detail); detail is empty when clean."""
-    flags = _flags_for(attrs, prepared, full_checks, _NO_EXEMPT, collect=False)
+    flags = _flags_for(attrs, prepared, full_checks, collect=False)
     if not any(flags[:3]):
         return _CLEAN
-    return _flags_for(attrs, prepared, full_checks, _NO_EXEMPT, collect=True)
+    return _flags_for(attrs, prepared, full_checks, collect=True)
 
 
 def _sensor_iat_arrays(buffers: list[array]) -> list[np.ndarray]:
     iats = []
     for buf in buffers:
-        ts = np.frombuffer(buf, dtype=np.int64)
-        if ts.size < 2:
-            iats.append(np.empty(0, dtype=np.float64))
-        else:
-            iats.append(np.diff(np.sort(ts)) / 1000.0)
+        ts = np.sort(np.frombuffer(buf, dtype=np.int64))
+        # The gap between sorted int64 values always fits in uint64, even
+        # where int64 subtraction would wrap.
+        iats.append((ts[1:].view(np.uint64) - ts[:-1].view(np.uint64)) / 1000.0)
     return iats
 
 
-def assess(
-    data: bytes,
-    schema: SchemaDocument,
-    config: AssessmentConfig,
-    format: "str | None" = None,
-) -> QualityReport:
-    """Assess one dataset; returns the quality report.
+class _Tally(NamedTuple):
+    """What one pass over the records leaves for scoring."""
+
+    total: int  # valid records
+    m4_bad: int
+    m5_bad: int
+    m6_bad: int
+    dup_count: int
+    dup_examples: list[list]
+    m4_attrs: Counter[str]
+    m5_attrs: Counter[str]
+    m6_attrs: Counter[str]
+    sensor_index: dict[str, int]  # sensor id -> index, first-appearance order
+    raw_counts: list[int]
+    ts_buffers: list[array]  # deduplicated timestamps (ms) per sensor
+
+
+def _fold(
+    data: bytes, schema: SchemaDocument, config: AssessmentConfig, fmt: str
+) -> _Tally:
+    """Normalise, flag and deduplicate every record in one pass.
 
     Raises DatasetRejectedError when more than half of the records are
-    malformed or no valid record remains.
+    malformed.
     """
-    fmt = format or config.dataset_format
     prepared = schema.prepared()
     full_checks = config.format_checks == "full"
     ts_field = config.timestamp_field
@@ -116,7 +128,6 @@ def assess(
     dup_count = 0
     error_count = 0
 
-    errors: list[IngestError] = []
     dup_examples: list[list] = []
     m4_attrs: Counter[str] = Counter()
     m5_attrs: Counter[str] = Counter()
@@ -131,11 +142,9 @@ def assess(
     # and value types, so it is computed once per such signature.
     memo: "dict[tuple, tuple] | None" = None if full_checks else {}
 
-    for index, record, reason in iter_records(data, fmt):
+    for _index, record, _reason in iter_records(data, fmt):
         if record is None:
             error_count += 1
-            if len(errors) < EVIDENCE_CAP:
-                errors.append(IngestError(index, reason or "malformed record"))
             continue
         try:
             if ts_field not in record:
@@ -157,10 +166,8 @@ def assess(
             attrs = None
             if verdict is None or not id_ts_key:
                 attrs, nested = _attributes(record, ts_field, sid_field)
-        except ValueError as exc:
+        except ValueError:
             error_count += 1
-            if len(errors) < EVIDENCE_CAP:
-                errors.append(IngestError(index, str(exc)))
             continue
 
         if verdict is None:
@@ -209,9 +216,55 @@ def assess(
         raise DatasetRejectedError(
             f"{error_count} of {records_seen} records malformed (more than half)"
         )
+    if error_count:
+        logger.info("ingestion skipped %d malformed records", error_count)
+    return _Tally(
+        total,
+        m4_bad,
+        m5_bad,
+        m6_bad,
+        dup_count,
+        dup_examples,
+        m4_attrs,
+        m5_attrs,
+        m6_attrs,
+        sensor_index,
+        raw_counts,
+        ts_buffers,
+    )
+
+
+def sensor_iats(
+    data: bytes, config: AssessmentConfig, format: "str | None" = None
+) -> list[tuple[str, np.ndarray]]:
+    """(sensor_id, IATs in seconds) per sensor, in first-appearance order.
+
+    The IATs are those assess() scores: gaps between the sorted timestamps
+    a sensor keeps after deduplication under config.duplicate_key. Raises
+    DatasetRejectedError when more than half of the records are malformed.
+    """
+    tally = _fold(data, _NO_SCHEMA, config, format or config.dataset_format)
+    return list(zip(tally.sensor_index, _sensor_iat_arrays(tally.ts_buffers)))
+
+
+def assess(
+    data: bytes,
+    schema: SchemaDocument,
+    config: AssessmentConfig,
+    format: "str | None" = None,
+) -> QualityReport:
+    """Assess one dataset; returns the quality report.
+
+    Raises DatasetRejectedError when more than half of the records are
+    malformed or no valid record remains.
+    """
+    tally = _fold(data, schema, config, format or config.dataset_format)
+    total = tally.total
     if total == 0:
         raise DatasetRejectedError("dataset contains no valid records")
-    del seen
+    sensor_index = tally.sensor_index
+    raw_counts = tally.raw_counts
+    ts_buffers = tally.ts_buffers
 
     sensors = sorted(sensor_index, key=sensor_index.get)
     iats = _sensor_iat_arrays(ts_buffers)
@@ -326,33 +379,39 @@ def assess(
     results.append(
         MetricResult.ratio(
             "M3",
-            dup_count,
+            tally.dup_count,
             total,
             {
                 "duplicate_key": config.duplicate_key,
-                "distinct_keys": total - dup_count,
-                "examples": dup_examples,
+                "distinct_keys": total - tally.dup_count,
+                "examples": tally.dup_examples,
             },
         )
     )
     results.append(
         MetricResult.ratio(
-            "M4", m4_bad, total, {"by_attribute": dict(sorted(m4_attrs.items()))}
+            "M4",
+            tally.m4_bad,
+            total,
+            {"by_attribute": dict(sorted(tally.m4_attrs.items()))},
         )
     )
     results.append(
         MetricResult.ratio(
-            "M5", m5_bad, total, {"by_attribute": dict(sorted(m5_attrs.items()))}
+            "M5",
+            tally.m5_bad,
+            total,
+            {"by_attribute": dict(sorted(tally.m5_attrs.items()))},
         )
     )
     results.append(
         MetricResult.ratio(
-            "M6", m6_bad, total, {"by_attribute": dict(sorted(m6_attrs.items()))}
+            "M6",
+            tally.m6_bad,
+            total,
+            {"by_attribute": dict(sorted(tally.m6_attrs.items()))},
         )
     )
-
-    if error_count:
-        logger.info("ingestion skipped %d malformed records", error_count)
 
     return aggregate(
         results,

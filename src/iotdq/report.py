@@ -114,10 +114,14 @@ def serialize_report(report: QualityReport) -> bytes:
 
 
 def deserialize_report(data: "bytes | str") -> QualityReport:
-    """Rebuild a QualityReport from canonical JSON bytes."""
+    """Rebuild a QualityReport from canonical JSON bytes.
+
+    Raises AggregationError, and no other error, for any input that is
+    not a well-formed report.
+    """
     try:
         doc = json.loads(data)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise AggregationError(f"report is not valid JSON: {exc}") from exc
     expected = {
         "version",
@@ -130,9 +134,8 @@ def deserialize_report(data: "bytes | str") -> QualityReport:
     }
     if not isinstance(doc, dict) or set(doc) != expected:
         raise AggregationError("report does not have the canonical shape")
-    results = []
-    for entry in doc["metrics"]:
-        results.append(
+    try:
+        results = [
             MetricResult(
                 metric_id=entry["id"],
                 score=entry["score"],
@@ -140,14 +143,17 @@ def deserialize_report(data: "bytes | str") -> QualityReport:
                 denominator_count=entry["denominator_count"],
                 evidence=entry["evidence"],
             )
+            for entry in doc["metrics"]
+        ]
+        return QualityReport(
+            per_metric=tuple(results),
+            weights_raw=doc["weights"]["raw"],
+            weights_normalized=doc["weights"]["normalized"],
+            aggregate_score=doc["aggregate_score"],
+            dataset_fingerprint=doc["dataset_fingerprint"],
+            tool_version=doc["version"],
+            created_at=doc["created_at"],
+            per_sensor=doc["per_sensor"],
         )
-    return QualityReport(
-        per_metric=tuple(results),
-        weights_raw=doc["weights"]["raw"],
-        weights_normalized=doc["weights"]["normalized"],
-        aggregate_score=doc["aggregate_score"],
-        dataset_fingerprint=doc["dataset_fingerprint"],
-        tool_version=doc["version"],
-        created_at=doc["created_at"],
-        per_sensor=doc["per_sensor"],
-    )
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise AggregationError(f"report is malformed: {exc!r}") from exc

@@ -14,16 +14,8 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Pattern
 
 from .errors import SchemaError
-from .model import DataPacket
 
-__all__ = [
-    "FORMAT_KINDS",
-    "AttributeSpec",
-    "SchemaDocument",
-    "PacketVerdict",
-    "parse_schema",
-    "validate_packet",
-]
+__all__ = ["FORMAT_KINDS", "AttributeSpec", "SchemaDocument", "parse_schema"]
 
 logger = logging.getLogger(__name__)
 
@@ -107,25 +99,6 @@ class SchemaDocument:
         return cached
 
 
-@dataclass(frozen=True, slots=True)
-class PacketVerdict:
-    """Validation outcome of one packet against one schema."""
-
-    missing_mandatory: bool
-    has_unknown: bool
-    has_format_error: bool
-    detail: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        kinds = {kind for _attr, kind in self.detail}
-        if self.missing_mandatory != ("missing" in kinds):
-            raise ValueError("missing_mandatory inconsistent with detail")
-        if self.has_unknown != ("unknown" in kinds):
-            raise ValueError("has_unknown inconsistent with detail")
-        if self.has_format_error != bool(kinds & FORMAT_KINDS):
-            raise ValueError("has_format_error inconsistent with detail")
-
-
 def _type_ok(value: Any, declared: str) -> bool:
     if declared == "integer":
         return isinstance(value, int) and not isinstance(value, bool)
@@ -140,7 +113,6 @@ def _flags_for(
     attributes: Mapping[str, Any],
     prepared: tuple[tuple[str, ...], dict[str, tuple]],
     full_checks: bool,
-    exempt: frozenset[str],
     collect: bool,
 ) -> tuple[bool, bool, bool, "tuple[tuple[str, str], ...] | None"]:
     """One pass over a packet's attributes; the only verdict implementation.
@@ -162,8 +134,6 @@ def _flags_for(
     for name, value in attributes.items():
         spec = lookup.get(name)
         if spec is None:
-            if name in exempt:
-                continue
             unknown = True
             if detail is not None:
                 detail.append((name, "unknown"))
@@ -248,27 +218,3 @@ def parse_schema(source: "bytes | str | Mapping[str, Any]") -> SchemaDocument:
     ):
         raise SchemaError("'required' must be a list of attribute names")
     return SchemaDocument(attributes=attributes, mandatory=frozenset(required))
-
-
-def validate_packet(
-    packet: DataPacket,
-    schema: SchemaDocument,
-    format_checks: str = "types_only",
-    exempt_fields: frozenset[str] = frozenset(),
-) -> PacketVerdict:
-    """Judge one packet; returns a verdict, never raises on bad data."""
-    if format_checks not in ("types_only", "full"):
-        raise ValueError(f"unknown format_checks mode: {format_checks!r}")
-    missing, unknown, format_error, detail = _flags_for(
-        packet.attributes,
-        schema.prepared(),
-        format_checks == "full",
-        exempt_fields,
-        collect=True,
-    )
-    return PacketVerdict(
-        missing_mandatory=missing,
-        has_unknown=unknown,
-        has_format_error=format_error,
-        detail=detail or (),
-    )

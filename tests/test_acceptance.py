@@ -20,18 +20,9 @@ import numpy as np
 import pytest
 import requests
 
-from iotdq._kernels import warmup
-from iotdq.errors import DegenerateIatError
-from iotdq.ingest import compute_iats, group_by_sensor, parse_dataset
-from iotdq.metrics_iat import (
-    estimate_mode,
-    m1_regularity,
-    m2_outliers,
-    m3_duplicates,
-    quantize,
-)
-from iotdq.model import AssessmentConfig, DataPacket
-from iotdq.pipeline import assess
+from conftest import ndjson_bytes
+from iotdq.model import AssessmentConfig
+from iotdq.pipeline import assess, sensor_iats
 from iotdq.report import aggregate, serialize_report
 from iotdq.schema import parse_schema
 from iotdq.synthgen import DEFAULT_SCHEMA, GenSpec, generate, iat_histogram
@@ -45,6 +36,7 @@ from iotdq.workflow.clients import (
 from iotdq.workflow.enclave import EnclaveRunner
 from iotdq.workflow.proxy import CONTENT_KINDS, GET_SCOPES, PUT_SCOPES, ROLES, ProxyServer
 from iotdq.workflow.sealing import KeyPair, seal
+from reference import reference_scores
 
 TOL = 1e-12
 SCHEMA = parse_schema(DEFAULT_SCHEMA)
@@ -71,40 +63,6 @@ def criterion(number: int, label: str):
     return wrap
 
 
-def _m1_transcription(iats_quantized, mode: float, crossover: float) -> tuple[float, float]:
-    """Literal per-IAT accumulation of the regularity score terms."""
-    numerator = 0.0
-    denominator = 0.0
-    for x in iats_quantized:
-        rae = abs(x - mode) / mode
-        if rae <= crossover:
-            numerator += 1.0 - rae / crossover
-            denominator += 1.0
-        else:
-            denominator += rae / crossover
-    return numerator, denominator
-
-
-def _m1_via_streams(data: bytes, config: AssessmentConfig) -> float | None:
-    """Independent pooled M1: modular ingestion plus the literal transcription."""
-    packets, _errors = parse_dataset(data, config.dataset_format, config)
-    numerator = 0.0
-    denominator = 0.0
-    for stream in group_by_sensor(packets, config.duplicate_key):
-        iats = compute_iats(stream, config.duplicate_key)
-        if not iats:
-            continue
-        try:
-            model = estimate_mode(iats, config.quantization_seconds)
-        except DegenerateIatError:
-            continue
-        binned = quantize(iats, model.quantization)
-        num, den = _m1_transcription(binned, model.mode, config.rae_crossover)
-        numerator += num
-        denominator += den
-    return numerator / denominator if denominator else None
-
-
 class TestAcceptance:
     @criterion(1, "clean-dataset identity")
     def test_criterion_1_clean_dataset_scores_all_one(self) -> None:
@@ -118,7 +76,6 @@ class TestAcceptance:
         data, truth = generate(spec, SCHEMA)
         assert truth.packets_total == 3000
         config = AssessmentConfig(quantization_seconds=60.0)
-        warmup()
         started = time.perf_counter()
         report = assess(data, SCHEMA, config)
         elapsed = time.perf_counter() - started
@@ -150,27 +107,35 @@ class TestAcceptance:
                 got = report.score(metric_id)
                 assert got is not None and expected is not None
                 assert abs(got - expected) <= TOL, (seed, metric_id)
-            independent_m1 = _m1_via_streams(data, config)
+            independent_m1 = reference_scores(data, SCHEMA, config, "ndjson")["M1"]
             got_m1 = report.score("M1")
             assert got_m1 is not None and independent_m1 is not None
             assert abs(got_m1 - independent_m1) <= TOL, seed
 
     @criterion(3, "hand-computed fixtures")
     def test_criterion_3_hand_fixtures(self) -> None:
-        model_a = estimate_mode([60.0, 60.0, 60.0, 90.0], 1.0)
-        assert m1_regularity([60.0, 60.0, 60.0, 90.0], model_a).score == 0.75
+        config = AssessmentConfig(quantization_seconds=1.0)
+        no_schema = parse_schema({})
 
-        model_b = estimate_mode([60.0, 60.0, 180.0], 1.0)
-        assert m1_regularity([60.0, 60.0, 180.0], model_b).score == 1.0 / 3.0
+        def one_sensor(iats: list[float]) -> bytes:
+            """One sensor whose successive gaps are the given IATs."""
+            stamps = [0.0]
+            for iat in iats:
+                stamps.append(stamps[-1] + iat)
+            return ndjson_bytes({"sensor_id": "s", "timestamp": t} for t in stamps)
+
+        report_a = assess(one_sensor([60.0, 60.0, 60.0, 90.0]), no_schema, config)
+        assert report_a.score("M1") == 0.75
+
+        report_b = assess(one_sensor([60.0, 60.0, 180.0]), no_schema, config)
+        assert report_b.score("M1") == 1.0 / 3.0
 
         sample = [58.0, 59.0, 60.0, 60.0, 60.0, 61.0, 62.0, 600.0]
-        assert m2_outliers(sample, estimate_mode(sample, 1.0)).score == 0.875
+        assert assess(one_sensor(sample), no_schema, config).score("M2") == 0.875
 
-        packets = [
-            DataPacket("s", i * 60_000, {"v": i}) for i in range(8)
-        ]
-        packets += [packets[0], packets[3]]
-        assert m3_duplicates(packets).score == 0.8
+        records = [{"sensor_id": "s", "timestamp": i * 60, "v": i} for i in range(8)]
+        records += [records[0], records[3]]
+        assert assess(ndjson_bytes(records), no_schema, config).score("M3") == 0.8
 
     @criterion(4, "score bounds, envelope, weight-scaling invariance")
     def test_criterion_4_randomized_property_suite(self) -> None:
@@ -226,12 +191,11 @@ class TestAcceptance:
             )
             data, _truth = generate(spec, SCHEMA)
             config = AssessmentConfig(quantization_seconds=interval)
-            packets, _errors = parse_dataset(data, "ndjson", config)
-            for stream in group_by_sensor(packets):
-                histogram = iat_histogram(compute_iats(stream), interval)
+            for sensor_id, iats in sensor_iats(data, config):
+                histogram = iat_histogram(iats, interval)
                 assert histogram
                 dominant = max(histogram, key=lambda pair: pair[1])[0]
-                assert dominant == interval, (seed, stream.sensor_id)
+                assert dominant == interval, (seed, sensor_id)
 
     @criterion(6, "workflow privacy, scope enforcement, report identity")
     def test_criterion_6_blind_workflow(self, tmp_path: Path) -> None:
@@ -381,7 +345,6 @@ class TestAcceptance:
         data, truth = generate(spec, SCHEMA)
         assert truth.packets_total == 1_000_000
         config = AssessmentConfig(quantization_seconds=60.0)
-        warmup()
         started = time.perf_counter()
         report = assess(data, SCHEMA, config)
         elapsed = time.perf_counter() - started

@@ -211,6 +211,31 @@ class TestHistogram:
         assert code == 0
         assert out.read_text().startswith("sensor_id,bin_seconds,count")
 
+    def test_empty_input_prints_only_the_header(self, tmp_path, capsys) -> None:
+        empty = tmp_path / "empty.ndjson"
+        empty.write_bytes(b"")
+        code = main(["histogram", "--data", str(empty), "--bin-width", "60"])
+        assert code == 0
+        assert capsys.readouterr().out == "sensor_id,bin_seconds,count\n"
+
+    def test_duplicates_leave_the_histogram(self, tmp_path, capsys) -> None:
+        records = [
+            {"sensor_id": "a", "timestamp": 0, "v": 1},
+            {"sensor_id": "a", "timestamp": 60, "v": 1},
+            {"sensor_id": "a", "timestamp": 60, "v": 2},
+            {"sensor_id": "a", "timestamp": 120, "v": 1},
+        ]
+        data = tmp_path / "dups.ndjson"
+        data.write_bytes(ndjson_bytes(records))
+        outputs = {}
+        for key in ("id_timestamp", "full_packet"):
+            config = tmp_path / f"{key}.json"
+            config.write_text(json.dumps({"duplicate_key": key}))
+            argv = ["histogram", "--data", str(data), "--config", str(config)]
+            assert main(argv + ["--bin-width", "60"]) == 0
+            outputs[key] = capsys.readouterr().out.splitlines()[1:]
+        assert outputs == {"id_timestamp": ["a,60,2"], "full_packet": ["a,0,1", "a,60,2"]}
+
 
 class TestMisc:
     def test_code_hash_prints_hex(self, capsys) -> None:

@@ -1,7 +1,10 @@
 """Inter-arrival-time metrics against hand-computed fixtures and properties.
 
 Every fixture value in this file was frozen by hand before the metric
-code existed; none was produced by running the implementation.
+code existed; none was produced by running the implementation. M1 and
+M2 are computed here from the building blocks assess() composes
+(quantize, _kernels.m1_sums, m1_from_sums, z_scores); the fixtures of
+criterion 3 also run through assess() itself in test_acceptance.py.
 """
 
 from __future__ import annotations
@@ -11,39 +14,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ndjson_bytes
+from iotdq import _kernels
 from iotdq.errors import DegenerateIatError
 from iotdq.metrics_iat import (
     MEAN_AD_CONSTANT,
     MIN_QUANTIZATION,
     MOD_Z_CONSTANT,
-    OutlierLabel,
-    RaeValue,
     estimate_mode,
-    label_outliers,
     m1_from_sums,
-    m1_regularity,
-    m2_outliers,
-    m3_duplicates,
-    packet_key,
+    packet_key_fields,
     quantize,
-    rae_values,
     z_scores,
 )
-from iotdq.model import DataPacket, IatModel
+from iotdq.model import AssessmentConfig, IatModel, MetricResult
+from iotdq.pipeline import assess
+from iotdq.schema import parse_schema
+from reference import m1_transcription
+
+NO_SCHEMA = parse_schema({})
 
 
 def _m1_reference(iats_quantized, mode: float, crossover: float = 0.5) -> float:
     """Straight per-element transcription of the regularity formula."""
-    numerator = 0.0
-    denominator = 0.0
-    for x in iats_quantized:
-        rae = abs(x - mode) / mode
-        if rae <= crossover:
-            numerator += 1.0 - rae / crossover
-            denominator += 1.0
-        else:
-            denominator += rae / crossover
+    numerator, denominator = m1_transcription(iats_quantized, mode, crossover)
     return numerator / denominator
+
+
+def _m1(iats, model: IatModel, crossover: float = 0.5) -> MetricResult:
+    """M1 of one sensor's IATs, composed as assess() composes it."""
+    binned = quantize(iats, model.quantization)
+    return m1_from_sums(*_kernels.m1_sums(binned, model.mode, crossover), crossover)
+
+
+def _m2(iats, model: IatModel, z_cutoff: float = 3.5) -> MetricResult:
+    """M2 of one sensor's IATs, composed as assess() composes it."""
+    z, basis = z_scores(iats, model)
+    absz = np.abs(z)
+    outliers = np.nonzero(absz > z_cutoff)[0]
+    evidence = {
+        "spread_basis": basis,
+        "max_abs_z": float(absz.max()) if absz.size else 0.0,
+        "outlier_indices": outliers.tolist(),
+    }
+    return MetricResult.ratio("M2", int(outliers.size), len(z), evidence)
+
+
+def _m3(keys: list[tuple[str, int]], duplicate_key: str = "id_timestamp"):
+    """M3 of packets (sensor, ms offset) whose attribute v is their position."""
+    records = [
+        {"sensor_id": s, "timestamp": 1_700_000_000_000 + t, "v": i}
+        for i, (s, t) in enumerate(keys)
+    ]
+    config = AssessmentConfig(duplicate_key=duplicate_key)
+    return assess(ndjson_bytes(records), NO_SCHEMA, config).result("M3")
 
 
 def _m2_reference(iats, model: IatModel, cutoff: float = 3.5) -> float:
@@ -142,7 +166,7 @@ class TestM1Fixtures:
     def test_one_gap_at_the_crossover(self) -> None:
         # RAEs [0, 0, 0, 0.5]: numerator 1+1+1+0 = 3, denominator 4.
         model = estimate_mode([60.0, 60.0, 60.0, 90.0], 1.0)
-        result = m1_regularity([60.0, 60.0, 60.0, 90.0], model)
+        result = _m1([60.0, 60.0, 60.0, 90.0], model)
         assert result.score == 0.75
         assert result.evidence["good_count"] == 4
         assert result.evidence["poor_count"] == 0
@@ -150,7 +174,7 @@ class TestM1Fixtures:
     def test_one_gap_beyond_the_crossover(self) -> None:
         # RAE(180) = 2: numerator 2, denominator 2 + 2/0.5 = 6.
         model = estimate_mode([60.0, 60.0, 180.0], 1.0)
-        result = m1_regularity([60.0, 60.0, 180.0], model)
+        result = _m1([60.0, 60.0, 180.0], model)
         assert result.score == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert result.evidence["good_count"] == 2
         assert result.evidence["poor_count"] == 1
@@ -159,30 +183,30 @@ class TestM1Fixtures:
     def test_perfect_stream_scores_one(self) -> None:
         iats = [60.0] * 100
         model = estimate_mode(iats, 1.0)
-        assert m1_regularity(iats, model).score == 1.0
+        assert _m1(iats, model).score == 1.0
 
     def test_empty_is_inapplicable(self) -> None:
         model = IatModel(mode=60.0, quantization=1.0, mad=0.5)
-        assert m1_regularity([], model).score is None
+        assert _m1([], model).score is None
 
     def test_jitter_below_half_bin_collapses_onto_mode(self) -> None:
         rng = np.random.default_rng(3)
         iats = 60.0 * (1.0 + rng.uniform(-0.1, 0.1, size=500))
         model = estimate_mode(iats, 60.0)
         assert model.mode == 60.0
-        assert m1_regularity(iats, model).score == 1.0
+        assert _m1(iats, model).score == 1.0
 
     def test_custom_crossover(self) -> None:
         # RAE(90) = 0.5 exceeds crossover 0.25: numerator 3, denominator 3 + 2.
         model = estimate_mode([60.0, 60.0, 60.0, 90.0], 1.0)
-        result = m1_regularity([60.0, 60.0, 60.0, 90.0], model, crossover=0.25)
+        result = _m1([60.0, 60.0, 60.0, 90.0], model, crossover=0.25)
         assert result.score == 0.6
 
     def test_m1_from_sums_merges_like_single_pass(self) -> None:
         model = estimate_mode([60.0] * 6 + [90.0, 180.0], 1.0)
-        whole = m1_regularity([60.0] * 6 + [90.0, 180.0], model)
-        a = m1_regularity([60.0] * 6, model)
-        b = m1_regularity([90.0, 180.0], model)
+        whole = _m1([60.0] * 6 + [90.0, 180.0], model)
+        a = _m1([60.0] * 6, model)
+        b = _m1([90.0, 180.0], model)
         merged = m1_from_sums(
             a.evidence["numerator_sum"] + b.evidence["numerator_sum"],
             (a.evidence["denominator_sum"] - a.evidence["good_count"])
@@ -210,7 +234,7 @@ class TestM1ReferenceEquivalence:
                 model = estimate_mode(iats, 1.0)
             except DegenerateIatError:
                 continue
-            got = m1_regularity(iats, model).score
+            got = _m1(iats, model).score
             want = _m1_reference(quantize(iats, model.quantization), model.mode)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -219,7 +243,7 @@ class TestM1ReferenceEquivalence:
         for crossover in (0.1, 0.5, 1.0, 2.0):
             iats = np.abs(60.0 + rng.normal(0.0, 25.0, size=300)) + 1e-9
             model = estimate_mode(iats, 1.0)
-            got = m1_regularity(iats, model, crossover=crossover).score
+            got = _m1(iats, model, crossover=crossover).score
             want = _m1_reference(
                 quantize(iats, model.quantization), model.mode, crossover
             )
@@ -243,8 +267,8 @@ class TestM1ReferenceEquivalence:
                 else model.fallback_mean_ad * scale
             ),
         )
-        a = m1_regularity(iats, model).score
-        b = m1_regularity(iats * scale, scaled_model).score
+        a = _m1(iats, model).score
+        b = _m1(iats * scale, scaled_model).score
         assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
 
     @settings(max_examples=150, deadline=None)
@@ -257,22 +281,25 @@ class TestM1ReferenceEquivalence:
     )
     def test_score_stays_in_unit_interval(self, iats: list[float]) -> None:
         model = estimate_mode(iats, 1.0)
-        score = m1_regularity(iats, model).score
+        score = _m1(iats, model).score
         assert score is not None
         assert 0.0 <= score <= 1.0
 
 
 class TestRaeValues:
     def test_window_matches_crossover_rule(self) -> None:
-        model = estimate_mode([60.0, 60.0, 60.0, 90.0, 180.0], 1.0)
-        values = rae_values([60.0, 60.0, 60.0, 90.0, 180.0], model)
-        for v in values:
-            inside = abs(v.iat - model.mode) <= 0.5 * model.mode
-            assert (v.rae <= 0.5) == inside
+        iats = [60.0, 60.0, 60.0, 90.0, 180.0, 29.0, 31.0]
+        model = estimate_mode(iats, 1.0)
+        binned = quantize(iats, model.quantization)
+        _num, _poor_den, good, poor = _kernels.m1_sums(binned, model.mode, 0.5)
+        inside = [abs(x - model.mode) <= 0.5 * model.mode for x in binned]
+        assert (good, poor) == (sum(inside), len(inside) - sum(inside)) == (5, 2)
 
     def test_negative_rae_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            RaeValue(iat=60.0, rae=-0.1)
+        # RAE is an absolute error: gaps 30 and 90 both sit at RAE 0.5 of
+        # mode 60, on the crossover, so each adds 0 to the numerator.
+        num, poor_den, good, poor = _kernels.m1_sums(np.array([30.0, 90.0]), 60.0, 0.5)
+        assert (num, poor_den, good, poor) == (0.0, 0.0, 2, 0)
 
 
 class TestM2Fixtures:
@@ -281,7 +308,7 @@ class TestM2Fixtures:
     def test_single_outlier_with_mad_spread(self) -> None:
         # mode 60, MAD 1.0, z(600) = 0.6745 * 540 / 1 = 364.23: one of eight.
         model = estimate_mode(self.FIXTURE, 1.0)
-        result = m2_outliers(self.FIXTURE, model)
+        result = _m2(self.FIXTURE, model)
         assert result.score == 0.875
         assert result.evidence["spread_basis"] == "mad"
         assert result.evidence["max_abs_z"] == pytest.approx(364.23, abs=1e-9)
@@ -292,7 +319,7 @@ class TestM2Fixtures:
         # z(600) = 0.7979 * 540 / 54 = 7.979 exceeds 3.5.
         iats = [60.0] * 9 + [600.0]
         model = estimate_mode(iats, 1.0)
-        result = m2_outliers(iats, model)
+        result = _m2(iats, model)
         assert result.score == 0.9
         assert result.evidence["spread_basis"] == "mean_ad"
         assert result.evidence["max_abs_z"] == pytest.approx(7.979, abs=1e-9)
@@ -300,21 +327,21 @@ class TestM2Fixtures:
     def test_zero_spread_means_no_outliers(self) -> None:
         iats = [60.0] * 5
         model = estimate_mode(iats, 1.0)
-        result = m2_outliers(iats, model)
+        result = _m2(iats, model)
         assert result.score == 1.0
         assert result.evidence["spread_basis"] == "zero_spread"
 
     def test_empty_is_inapplicable(self) -> None:
         model = IatModel(mode=60.0, quantization=1.0, mad=1.0)
-        assert m2_outliers([], model).score is None
+        assert _m2([], model).score is None
 
     def test_cutoff_is_strict_inequality(self) -> None:
         # A z exactly equal to the cutoff must not flag; just below it must.
         model = IatModel(mode=60.0, quantization=1.0, mad=1.0)
-        z = label_outliers([65.0], model)[0].z
+        z = float(z_scores([65.0], model)[0][0])
         assert z > 0.0
-        assert not label_outliers([65.0], model, z_cutoff=z)[0].is_outlier
-        assert label_outliers([65.0], model, z_cutoff=z * (1.0 - 1e-9))[0].is_outlier
+        assert _m2([65.0], model, z_cutoff=z).numerator_count == 0
+        assert _m2([65.0], model, z_cutoff=z * (1.0 - 1e-9)).numerator_count == 1
 
     def test_matches_literal_formula_on_random_samples(self) -> None:
         rng = np.random.default_rng(23)
@@ -323,7 +350,7 @@ class TestM2Fixtures:
             iats = np.abs(60.0 * (1.0 + rng.normal(0.0, 0.1, size=n))) + 1e-9
             iats[rng.random(n) < 0.08] *= 12.0
             model = estimate_mode(iats, 1.0)
-            got = m2_outliers(iats, model).score
+            got = _m2(iats, model).score
             want = _m2_reference(iats, model)
             assert got == want
 
@@ -337,52 +364,51 @@ class TestM2Fixtures:
         assert list(z) == [0.0]
 
     def test_label_fields(self) -> None:
+        # z(600) = 0.6745 * 540 / 1 = 364.23 flags the second IAT only.
         model = IatModel(mode=60.0, quantization=1.0, mad=1.0)
-        label = label_outliers([600.0], model)[0]
-        assert isinstance(label, OutlierLabel)
-        assert label.iat == 600.0
-        assert label.is_outlier
+        result = _m2([60.0, 600.0], model)
+        assert result.evidence["outlier_indices"] == [1]
+        assert result.evidence["max_abs_z"] == pytest.approx(364.23, abs=1e-9)
 
 
 class TestM3Fixtures:
-    def _packets(self, keys: list[tuple[str, int]]) -> list[DataPacket]:
-        return [DataPacket(s, t, {"v": i}) for i, (s, t) in enumerate(keys)]
-
     def test_two_duplicates_among_ten(self) -> None:
         keys = [("a", i * 1000) for i in range(8)]
-        packets = self._packets(keys + [keys[0], keys[3]])
-        result = m3_duplicates(packets)
+        result = _m3(keys + [keys[0], keys[3]])
         assert result.score == 0.8
         assert result.numerator_count == 2
         assert result.evidence["distinct_keys"] == 8
-        assert result.evidence["examples"] == [["a", 0], ["a", 3000]]
+        t0 = 1_700_000_000_000
+        assert result.evidence["examples"] == [["a", t0], ["a", t0 + 3000]]
 
     def test_no_duplicates(self) -> None:
-        packets = self._packets([("a", 0), ("a", 1000), ("b", 0)])
-        assert m3_duplicates(packets).score == 1.0
+        assert _m3([("a", 0), ("a", 1000), ("b", 0)]).score == 1.0
 
     def test_empty_is_inapplicable(self) -> None:
-        assert m3_duplicates([]).score is None
+        assert MetricResult.ratio("M3", 0, 0).score is None
 
     def test_full_packet_key_distinguishes_attribute_changes(self) -> None:
-        same_key = [
-            DataPacket("a", 0, {"v": 1}),
-            DataPacket("a", 0, {"v": 2}),
-            DataPacket("a", 0, {"v": 1}),
+        records = [
+            {"sensor_id": "a", "timestamp": 0, "v": 1},
+            {"sensor_id": "a", "timestamp": 0, "v": 2},
+            {"sensor_id": "a", "timestamp": 0, "v": 1},
         ]
-        by_id_ts = m3_duplicates(same_key, "id_timestamp")
-        by_full = m3_duplicates(same_key, "full_packet")
-        assert by_id_ts.numerator_count == 2
-        assert by_full.numerator_count == 1
+        counts = {}
+        for key in ("id_timestamp", "full_packet"):
+            config = AssessmentConfig(duplicate_key=key)
+            report = assess(ndjson_bytes(records), NO_SCHEMA, config)
+            counts[key] = report.result("M3").numerator_count
+        assert counts == {"id_timestamp": 2, "full_packet": 1}
 
     def test_full_packet_key_ignores_attribute_order(self) -> None:
-        a = DataPacket("a", 0, {"x": 1, "y": 2})
-        b = DataPacket("a", 0, {"y": 2, "x": 1})
-        assert packet_key(a, "full_packet") == packet_key(b, "full_packet")
+        a = packet_key_fields("a", 0, {"x": 1, "y": 2}, "full_packet")
+        b = packet_key_fields("a", 0, {"y": 2, "x": 1}, "full_packet")
+        assert a == b
+        assert a != packet_key_fields("a", 0, {"x": 1, "y": 3}, "full_packet")
 
     def test_unknown_key_mode_rejected(self) -> None:
         with pytest.raises(ValueError):
-            packet_key(DataPacket("a", 0), "nope")
+            packet_key_fields("a", 0, {}, "nope")
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -396,10 +422,10 @@ class TestM3Fixtures:
     def test_score_is_permutation_invariant(
         self, keys: list[tuple[str, int]], seed: int
     ) -> None:
-        packets = self._packets([(s, t * 1000) for s, t in keys])
+        keys = [(s, t * 1000) for s, t in keys]
         rng = np.random.default_rng(seed)
-        shuffled = [packets[i] for i in rng.permutation(len(packets))]
-        assert m3_duplicates(packets).score == m3_duplicates(shuffled).score
+        shuffled = [keys[i] for i in rng.permutation(len(keys))]
+        assert _m3(keys).score == _m3(shuffled).score
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -410,7 +436,6 @@ class TestM3Fixtures:
         )
     )
     def test_score_equals_distinct_share(self, keys: list[tuple[str, int]]) -> None:
-        packets = self._packets([(s, t * 1000) for s, t in keys])
-        result = m3_duplicates(packets)
+        result = _m3([(s, t * 1000) for s, t in keys])
         distinct = len(set(keys))
         assert result.score == 1.0 - (len(keys) - distinct) / len(keys)

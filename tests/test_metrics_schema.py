@@ -1,14 +1,14 @@
-"""Schema-adherence metric scores over packet verdicts."""
+"""Schema-adherence metric scores (M4-M6) of small datasets run through assess()."""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotdq.metrics_schema import m4_mandatory, m5_unknown, m6_format
-from iotdq.model import DataPacket
-from iotdq.schema import PacketVerdict, parse_schema, validate_packet
+from conftest import ndjson_bytes
+from iotdq.model import AssessmentConfig, MetricResult
+from iotdq.pipeline import assess
+from iotdq.schema import parse_schema
 
 SCHEMA = parse_schema(
     {
@@ -21,95 +21,94 @@ SCHEMA = parse_schema(
 )
 
 
-def _verdicts(attribute_maps: list[dict], checks: str = "types_only") -> list[PacketVerdict]:
-    return [
-        validate_packet(DataPacket("s1", i, attrs), SCHEMA, format_checks=checks)
+def _results(
+    attribute_maps: list[dict], checks: str = "types_only"
+) -> dict[str, MetricResult]:
+    """M4, M5 and M6 of one packet per attribute map."""
+    records = [
+        {"sensor_id": "s1", "timestamp": 60 * i, **attrs}
         for i, attrs in enumerate(attribute_maps)
     ]
+    config = AssessmentConfig(format_checks=checks)
+    report = assess(ndjson_bytes(records), SCHEMA, config)
+    return {m: report.result(m) for m in ("M4", "M5", "M6")}
 
 
 class TestM4:
     def test_one_missing_among_four(self) -> None:
-        verdicts = _verdicts(
+        result = _results(
             [
                 {"pm25": 1.0, "temperature": 2.0},
                 {"pm25": 1.0, "temperature": 2.0},
                 {"pm25": 1.0},
                 {"pm25": 1.0, "temperature": 2.0},
             ]
-        )
-        result = m4_mandatory(verdicts)
+        )["M4"]
         assert result.score == 0.75
         assert result.numerator_count == 1
         assert result.denominator_count == 4
         assert result.evidence["by_attribute"] == {"temperature": 1}
 
     def test_packet_missing_both_counts_once(self) -> None:
-        verdicts = _verdicts([{}, {"pm25": 1.0, "temperature": 2.0}])
-        result = m4_mandatory(verdicts)
+        result = _results([{}, {"pm25": 1.0, "temperature": 2.0}])["M4"]
         assert result.score == 0.5
         assert result.evidence["by_attribute"] == {"pm25": 1, "temperature": 1}
 
     def test_empty_is_inapplicable(self) -> None:
-        assert m4_mandatory([]).score is None
+        assert MetricResult.ratio("M4", 0, 0).score is None
 
 
 class TestM5:
     def test_unknown_attribute_share(self) -> None:
-        verdicts = _verdicts(
+        result = _results(
             [
                 {"pm25": 1.0, "temperature": 2.0, "debug": 1},
                 {"pm25": 1.0, "temperature": 2.0},
             ]
-        )
-        result = m5_unknown(verdicts)
+        )["M5"]
         assert result.score == 0.5
         assert result.evidence["by_attribute"] == {"debug": 1}
 
     def test_several_unknowns_in_one_packet_count_once(self) -> None:
-        verdicts = _verdicts(
-            [{"pm25": 1.0, "temperature": 2.0, "a": 1, "b": 2}] * 2
-        )
-        result = m5_unknown(verdicts)
+        result = _results([{"pm25": 1.0, "temperature": 2.0, "a": 1, "b": 2}] * 2)["M5"]
         assert result.score == 0.0
         assert result.numerator_count == 2
         assert result.evidence["by_attribute"] == {"a": 2, "b": 2}
 
     def test_empty_is_inapplicable(self) -> None:
-        assert m5_unknown([]).score is None
+        assert MetricResult.ratio("M5", 0, 0).score is None
 
 
 class TestM6:
     def test_type_violation_share(self) -> None:
-        verdicts = _verdicts(
+        result = _results(
             [
                 {"pm25": "high", "temperature": 2.0},
                 {"pm25": 1.0, "temperature": 2.0},
                 {"pm25": 1.0, "temperature": 2.0},
                 {"pm25": 1.0, "temperature": 2.0},
             ]
-        )
-        result = m6_format(verdicts)
+        )["M6"]
         assert result.score == 0.75
         assert result.evidence["by_attribute"] == {"pm25": 1}
 
     def test_full_checks_count_range_violations(self) -> None:
         maps = [{"pm25": 900.0, "temperature": 2.0}, {"pm25": 1.0, "temperature": 2.0}]
-        assert m6_format(_verdicts(maps, "types_only")).score == 1.0
-        assert m6_format(_verdicts(maps, "full")).score == 0.5
+        assert _results(maps, "types_only")["M6"].score == 1.0
+        assert _results(maps, "full")["M6"].score == 0.5
 
     def test_missing_attribute_is_not_a_format_error(self) -> None:
-        verdicts = _verdicts([{"pm25": 1.0}])
-        assert m6_format(verdicts).score == 1.0
-        assert m4_mandatory(verdicts).score == 0.0
+        results = _results([{"pm25": 1.0}])
+        assert results["M6"].score == 1.0
+        assert results["M4"].score == 0.0
 
     def test_unknown_attribute_is_not_a_format_error(self) -> None:
-        verdicts = _verdicts([{"pm25": 1.0, "temperature": 2.0, "x": object()}])
-        assert m6_format(verdicts).score == 1.0
-        assert m5_unknown(verdicts).score == 0.0
+        results = _results([{"pm25": 1.0, "temperature": 2.0, "x": "anything"}])
+        assert results["M6"].score == 1.0
+        assert results["M5"].score == 0.0
 
     def test_empty_is_inapplicable(self) -> None:
-        assert m6_format([]).score is None
+        assert MetricResult.ratio("M6", 0, 0).score is None
 
 
 class TestCrossMetricIndependence:
@@ -132,8 +131,8 @@ class TestCrossMetricIndependence:
             if unknown:
                 attrs["extra"] = 1
             maps.append(attrs)
-        verdicts = _verdicts(maps)
+        results = _results(maps)
         n = len(flags)
-        assert m4_mandatory(verdicts).score == 1.0 - sum(f[0] for f in flags) / n
-        assert m5_unknown(verdicts).score == 1.0 - sum(f[1] for f in flags) / n
-        assert m6_format(verdicts).score == 1.0 - sum(f[2] for f in flags) / n
+        assert results["M4"].score == 1.0 - sum(f[0] for f in flags) / n
+        assert results["M5"].score == 1.0 - sum(f[1] for f in flags) / n
+        assert results["M6"].score == 1.0 - sum(f[2] for f in flags) / n

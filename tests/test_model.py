@@ -1,25 +1,37 @@
-"""Domain types: registry contents, invariant checks, config round-trip."""
+"""Domain types: registry contents, invariant checks, config round-trip.
+
+Packets and sensor streams are not types; their invariants are checked
+on what the fold accepts and emits.
+"""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ndjson_bytes
 from iotdq.errors import AggregationError, ConfigError
 from iotdq.model import (
     DIMENSIONS,
     METRIC_IDS,
     AssessmentConfig,
-    DataPacket,
     IatModel,
     MetricResult,
     QualityReport,
-    SensorStream,
     _normalize_weights,
     registry,
 )
+from iotdq.pipeline import assess, sensor_iats
+from iotdq.schema import parse_schema
+
+_T0 = 1_700_000_000_000  # epoch ms
+NO_SCHEMA = parse_schema({})
+
+
+def _report(records: list[dict], duplicate_key: str = "id_timestamp"):
+    config = AssessmentConfig(duplicate_key=duplicate_key)
+    return assess(ndjson_bytes(records), NO_SCHEMA, config)
 
 
 class TestRegistry:
@@ -42,55 +54,90 @@ class TestRegistry:
 
 
 class TestDataPacket:
+    """A packet is a record the fold accepts: sensor id, ms timestamp, attributes."""
+
     def test_basic(self) -> None:
-        p = DataPacket("s1", 1000, {"pm25": 12.5})
-        assert p.sensor_id == "s1"
-        assert p.timestamp_ms == 1000
-        assert p.attributes["pm25"] == 12.5
+        record = {"sensor_id": "s1", "timestamp": _T0 + 1000, "pm25": 12.5}
+        report = _report([record, record])
+        assert list(report.per_sensor) == ["s1"]
+        assert report.result("M3").evidence["examples"] == [["s1", _T0 + 1000]]
+        assert report.result("M5").evidence["by_attribute"] == {"pm25": 2}
 
     def test_empty_sensor_id_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            DataPacket("", 0)
+        records = [
+            {"sensor_id": "", "timestamp": 0},
+            {"sensor_id": " ", "timestamp": 60},
+            {"sensor_id": "s1", "timestamp": 0},
+            {"sensor_id": "s1", "timestamp": 60},
+        ]
+        report = _report(records)
+        assert list(report.per_sensor) == ["s1"]
+        assert report.result("M3").denominator_count == 2
 
     def test_non_int_timestamp_rejected(self) -> None:
-        with pytest.raises(TypeError):
-            DataPacket("s1", 1.5)  # type: ignore[arg-type]
-        with pytest.raises(TypeError):
-            DataPacket("s1", True)  # type: ignore[arg-type]
-
-    def test_frozen(self) -> None:
-        p = DataPacket("s1", 0)
-        with pytest.raises(AttributeError):
-            p.timestamp_ms = 5  # type: ignore[misc]
+        # A boolean is no timestamp; fractions of a millisecond are rounded away.
+        records = [
+            {"sensor_id": "s1", "timestamp": True},
+            {"sensor_id": "s1", "timestamp": _T0 + 0.4},
+            {"sensor_id": "s1", "timestamp": _T0 + 0.6},
+            {"sensor_id": "s1", "timestamp": _T0 + 1.0},
+        ]
+        m3 = _report(records).result("M3")
+        assert m3.denominator_count == 3
+        assert m3.evidence["examples"] == [["s1", _T0 + 1]]
+        assert type(m3.evidence["examples"][0][1]) is int
 
 
 class TestSensorStream:
-    def _packets(self, *ts: int) -> tuple[DataPacket, ...]:
-        return tuple(DataPacket("s1", t) for t in ts)
+    """A sensor's stream: its deduplicated timestamps, sorted, and their gaps.
+
+    The fold reports it through sensor_iats() and the per_sensor entries.
+    """
+
+    def _stream(self, *ms: int, duplicate_key: str = "id_timestamp"):
+        records = [{"sensor_id": "s1", "timestamp": _T0 + t, "v": t} for t in ms]
+        config = AssessmentConfig(duplicate_key=duplicate_key)
+        [(_sid, iats)] = sensor_iats(ndjson_bytes(records), config)
+        return iats, _report(records, duplicate_key).per_sensor["s1"]
 
     def test_iat_length_tracks_unique_count(self) -> None:
-        s = SensorStream("s1", self._packets(0, 1000, 2000), np.array([1.0, 1.0]), 3)
-        assert list(s.iat_seconds) == [1.0, 1.0]
+        iats, entry = self._stream(0, 1000, 2000, 2000)
+        assert list(iats) == [1.0, 1.0]
+        assert entry["iat_count"] == entry["unique_count"] - 1 == 2
 
     def test_single_packet_has_no_iats(self) -> None:
-        s = SensorStream("s1", self._packets(0), np.array([]), 1)
-        assert s.iat_seconds.size == 0
+        iats, entry = self._stream(0)
+        assert iats.size == 0
+        assert (entry["unique_count"], entry["iat_count"]) == (1, 0)
 
     def test_unsorted_rejected(self) -> None:
-        with pytest.raises(ValueError, match="sorted"):
-            SensorStream("s1", self._packets(2000, 0), np.array([2.0]), 2)
+        # Arrival order does not matter: gaps are taken between sorted timestamps.
+        iats, _entry = self._stream(2000, 0, 500)
+        assert list(iats) == [0.5, 1.5]
 
-    def test_iat_length_mismatch_rejected(self) -> None:
-        with pytest.raises(ValueError, match="length"):
-            SensorStream("s1", self._packets(0, 1000), np.array([1.0, 1.0]), 2)
+    @settings(max_examples=50, deadline=None)
+    @given(
+        ms=st.lists(st.integers(0, 20), min_size=1, max_size=30),
+        duplicate_key=st.sampled_from(["id_timestamp", "full_packet"]),
+    )
+    def test_iat_length_mismatch_rejected(self, ms: list[int], duplicate_key: str) -> None:
+        iats, entry = self._stream(*(t * 1000 for t in ms), duplicate_key=duplicate_key)
+        assert iats.size == entry["iat_count"] == max(0, entry["unique_count"] - 1)
 
-    def test_negative_iat_rejected(self) -> None:
-        with pytest.raises(ValueError, match="non-negative"):
-            SensorStream("s1", self._packets(0, 1000), np.array([-1.0]), 2)
+    @settings(max_examples=50, deadline=None)
+    @given(ms=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=30))
+    def test_negative_iat_rejected(self, ms: list[int]) -> None:
+        iats, _entry = self._stream(*ms)
+        assert (iats >= 0.0).all()
 
-    def test_unique_count_bounds(self) -> None:
-        with pytest.raises(ValueError, match="unique_count"):
-            SensorStream("s1", self._packets(0), np.array([1.0, 1.0, 1.0]), 4)
+    @settings(max_examples=50, deadline=None)
+    @given(
+        ms=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+        duplicate_key=st.sampled_from(["id_timestamp", "full_packet"]),
+    )
+    def test_unique_count_bounds(self, ms: list[int], duplicate_key: str) -> None:
+        _iats, entry = self._stream(*ms, duplicate_key=duplicate_key)
+        assert 1 <= entry["unique_count"] <= entry["packet_count"] == len(ms)
 
 
 class TestIatModel:

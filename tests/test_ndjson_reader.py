@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 import iotdq.pipeline
 from conftest import ndjson_bytes
+from iotdq.errors import IngestFormatError
 from iotdq.ingest import _iter_ndjson, iter_records
 from iotdq.model import AssessmentConfig
 from iotdq.pipeline import assess
 from iotdq.schema import parse_schema
 from iotdq.synthgen import DEFAULT_SCHEMA
-from test_pipeline import _assert_scores_match, _modular_scores
+from reference import assert_scores_match, reference_scores
 
 SCHEMA = parse_schema(DEFAULT_SCHEMA)
 
@@ -96,6 +97,41 @@ def test_blocks_keep_lines_whole_and_indices_running() -> None:
         assert [i for i, _r, _e in got] == list(range(200))
 
 
+# Far deeper than the interpreter's recursion limit.
+_DEEP = b"[" * 100_000
+
+
+@pytest.mark.parametrize("block_bytes", [1, 7, 1 << 22])
+def test_too_deeply_nested_line_is_a_malformed_record(block_bytes: int) -> None:
+    source = _OK + b"\n" + _DEEP + b"\n" + b'{"a":' * 100_000 + b"\n" + _OK
+    got = list(_iter_ndjson(source, block_bytes))
+    assert [(i, r is None, e) for i, r, e in got] == [
+        (0, False, None),
+        (1, True, "invalid JSON: nesting too deep"),
+        (2, True, "invalid JSON: nesting too deep"),
+        (3, False, None),
+    ]
+
+
+def test_too_deeply_nested_line_in_a_non_utf8_block() -> None:
+    source = b'{"s":"\xff"}\n' + _DEEP + b"\n"
+    reasons = [e for _i, _r, e in _iter_ndjson(source)]
+    assert reasons[1] == "invalid JSON: nesting too deep"
+
+
+def test_assess_counts_a_too_deeply_nested_line_as_malformed() -> None:
+    records = [_rec(i) for i in range(5)]
+    report = assess(ndjson_bytes(records) + _DEEP + b"\n", SCHEMA, AssessmentConfig())
+    assert report.result("M3").denominator_count == 5
+
+
+def test_too_deeply_nested_json_array_is_a_format_error() -> None:
+    with pytest.raises(IngestFormatError, match="nested too deeply"):
+        list(iter_records(b"[" + _DEEP + b"]", "json_array"))
+    with pytest.raises(IngestFormatError, match="nested too deeply"):
+        assess(b"[" + _DEEP + b"]", SCHEMA, AssessmentConfig(), format="json_array")
+
+
 _TOKENS = [
     b"\n", b"\r", b"\r\n", b" ", b"\t", b"\x0b", b"\x0c", b"\x00",
     b"\xef\xbb\xbf", b"\xff", b"\xfe", b"\xed\xa0\x80", b"\xc2\x85",
@@ -165,7 +201,7 @@ def test_memo_gives_per_record_verdicts(odd: str, format_checks: str) -> None:
     data = ndjson_bytes(records)
     config = AssessmentConfig(quantization_seconds=60.0, format_checks=format_checks)
     report = assess(data, SCHEMA, config)
-    _assert_scores_match(report, _modular_scores(data, SCHEMA, config, "ndjson"))
+    assert_scores_match(report, reference_scores(data, SCHEMA, config, "ndjson"))
 
 
 def test_nested_signatures_are_never_memoised() -> None:

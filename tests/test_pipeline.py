@@ -1,80 +1,169 @@
-"""End-to-end assessment: streaming fold vs composed list operations."""
+"""End-to-end assessment: the streaming fold against the reference scorer."""
 
 from __future__ import annotations
 
+import ast
 import csv
 import hashlib
 import io
+import itertools
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import ndjson_bytes
-from iotdq.errors import DatasetRejectedError, DegenerateIatError
-from iotdq.ingest import group_by_sensor, parse_dataset
-from iotdq.metrics_iat import (
-    estimate_mode,
-    m1_from_sums,
-    m1_regularity,
-    m2_outliers,
-    m3_duplicates,
-)
-from iotdq.metrics_schema import m4_mandatory, m5_unknown, m6_format
+from iotdq.errors import DatasetRejectedError
 from iotdq.model import AssessmentConfig
-from iotdq.pipeline import assess, assess_file
-from iotdq.schema import SchemaDocument, parse_schema, validate_packet
+from iotdq.pipeline import assess, assess_file, sensor_iats
+from iotdq.schema import parse_schema
 from iotdq.synthgen import DEFAULT_SCHEMA, GenSpec, generate
+from reference import (
+    assert_scores_match,
+    packet_iats,
+    read_packets,
+    reference_scores,
+)
 
 SCHEMA = parse_schema(DEFAULT_SCHEMA)
 
 
-def _modular_scores(
-    data: bytes, schema: SchemaDocument, config: AssessmentConfig, fmt: str
-) -> dict[str, float | None]:
-    """Recompute all six scores through the list-based building blocks."""
-    packets, _errors = parse_dataset(data, fmt, config)
-    streams = group_by_sensor(packets, config.duplicate_key)
-    num = poor_den = 0.0
-    good = poor = 0
-    m2_bad = m2_total = 0
-    for stream in streams:
-        if stream.iat_seconds.size == 0:
-            continue
-        try:
-            model = estimate_mode(stream.iat_seconds, config.quantization_seconds)
-        except DegenerateIatError:
-            continue
-        r1 = m1_regularity(stream.iat_seconds, model, config.rae_crossover)
-        num += r1.evidence["numerator_sum"]
-        poor_den += r1.evidence["denominator_sum"] - r1.evidence["good_count"]
-        good += r1.evidence["good_count"]
-        poor += r1.evidence["poor_count"]
-        r2 = m2_outliers(stream.iat_seconds, model, config.z_cutoff)
-        m2_bad += r2.numerator_count
-        m2_total += r2.denominator_count
-    verdicts = [
-        validate_packet(p, schema, config.format_checks) for p in packets
-    ]
-    return {
-        "M1": m1_from_sums(num, poor_den, good, poor, config.rae_crossover).score,
-        "M2": 1.0 - m2_bad / m2_total if m2_total else None,
-        "M3": m3_duplicates(packets, config.duplicate_key).score,
-        "M4": m4_mandatory(verdicts).score,
-        "M5": m5_unknown(verdicts).score,
-        "M6": m6_format(verdicts).score,
+_COMBINATIONS = list(
+    itertools.product(
+        ["id_timestamp", "full_packet"], ["types_only", "full"], ["per_sensor", "dataset"]
+    )
+)
+
+
+EDGE_SCHEMA = parse_schema(
+    {
+        "properties": {
+            **DEFAULT_SCHEMA["properties"],
+            "status": {"type": "string", "pattern": "^sentinel-"},
+            "count": {"type": "integer", "minimum": 0, "maximum": 1000},
+            "ok": {"type": "boolean"},
+        },
+        "required": DEFAULT_SCHEMA["required"],
     }
+)
+_T0 = 1_767_225_600  # epoch seconds
+_DROP = object()  # marks a field that _edge leaves out
 
 
-def _assert_scores_match(report, want: dict[str, float | None]) -> None:
-    for metric_id, expected in want.items():
-        got = report.score(metric_id)
-        if expected is None:
-            assert got is None, metric_id
-        else:
-            assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), metric_id
+def _edge(sensor, timestamp, **fields) -> dict:
+    record = {"sensor_id": sensor, "timestamp": timestamp, "pm25": 12.5, "temperature": 20.0}
+    record.update(fields)
+    return {k: v for k, v in record.items() if v is not _DROP}
+
+
+def _gaps(sensor: str, iats: list[float]) -> list[dict]:
+    stamps = [_T0 + 1000.0]
+    for iat in iats:
+        stamps.append(stamps[-1] + iat)
+    return [_edge(sensor, t) for t in stamps]
+
+
+# Odd but legal records, schema violations, malformed records and sensors
+# that reach the corners of mode election and outlier labelling.
+_EDGE_RECORDS = [
+    {"sensor_id": " ", "timestamp": _T0},
+    {"sensor_id": "", "timestamp": _T0},
+    {"sensor_id": True, "timestamp": _T0},
+    {"sensor_id": "e", "timestamp": None},
+    {"sensor_id": "e", "timestamp": _T0, "xs": [1]},
+    *[_edge(7, _T0 + 60 * i) for i in range(4)],
+    _edge("7", _T0 + 240),
+    *[_edge("iso", f"2026-01-01T00:0{i}:00Z") for i in range(5)],
+    _edge("e", _T0, temperature=_DROP, pm25="x"),
+    _edge("e", _T0 + 60, pm25=0),
+    _edge("e", _T0 + 120, pm25=500.0),
+    _edge("e", _T0 + 180, pm25=500.5),
+    _edge("e", _T0 + 240, temperature=-40.5),
+    _edge("e", _T0 + 300, count=True),
+    _edge("e", _T0 + 360, count=3.0),
+    _edge("e", _T0 + 420, count=1001),
+    _edge("e", _T0 + 480, ok=1),
+    _edge("e", _T0 + 540, ok=False),
+    _edge("e", _T0 + 600, status="nope"),
+    _edge("e", _T0 + 660, status="sentinel-x"),
+    _edge("e", _T0 + 720, pm25=None),
+    _edge("e", _T0 + 780, meta={"fw": 3, "hw": {"rev": "b"}}),
+    # Sub-second gaps: the modal bin is zero until the bins are much finer.
+    *_gaps("fast", [0.3] * 6 + [0.5, 0.4]),
+    # Two modal bins tie; the smaller one wins.
+    *_gaps("tie", [60.0, 60.0, 120.0, 120.0]),
+    # Distinct payloads at one instant: degenerate under the full_packet key.
+    *[_edge("still", _T0, pm25=float(i)) for i in range(4)],
+    # MAD 0.5 around mode 60: z(62.5) = 3.3725, just inside the cutoff.
+    *_gaps("near", [60.0] * 5 + [59.0, 61.0, 59.0, 61.0, 62.5]),
+]
+
+
+def _defect_dataset(seed: int) -> bytes:
+    """A generated dataset, records that share a timestamp but not a payload,
+    and the edge records above."""
+    spec = GenSpec(
+        sensor_count=3,
+        packets_per_sensor=60,
+        interval_seconds=60.0,
+        jitter_fraction=0.08,
+        outlier_rate=0.05,
+        duplicate_rate=0.1,
+        missing_mandatory_rate=0.05,
+        unknown_attr_rate=0.04,
+        format_error_rate=0.05,
+        seed=seed,
+    )
+    data, _truth = generate(spec, SCHEMA)
+    records = [json.loads(line) for line in data.splitlines()]
+    for record in records[seed % 7 :: 11]:
+        variant = dict(record)
+        variant["pm25"] = 499.5 if variant.get("pm25") != 499.5 else 0.5
+        records.append(variant)
+    return ndjson_bytes(records + _EDGE_RECORDS)
 
 
 class TestFoldMatchesModularComposition:
+    """assess() gives the scores of the reference scorer in tests/reference.py."""
+
+    @pytest.mark.parametrize("duplicate_key,format_checks,mode_scope", _COMBINATIONS)
+    def test_every_config_combination(
+        self, duplicate_key: str, format_checks: str, mode_scope: str
+    ) -> None:
+        config = AssessmentConfig(
+            quantization_seconds=60.0,
+            duplicate_key=duplicate_key,
+            format_checks=format_checks,
+            mode_scope=mode_scope,
+        )
+        for seed in range(4):
+            data = _defect_dataset(seed)
+            records = [json.loads(line) for line in data.splitlines()]
+            array = json.dumps(records).encode()
+            for source, fmt in ((data, "ndjson"), (array, "json_array")):
+                report = assess(source, EDGE_SCHEMA, config, format=fmt)
+                want = reference_scores(source, EDGE_SCHEMA, config, fmt)
+                assert_scores_match(report, want)
+
+    def test_reference_shares_no_scoring_code(self) -> None:
+        tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+                imported |= {f"{node.module}.{a.name}" for a in node.names}
+        forbidden = {
+            "iotdq.pipeline",
+            "iotdq.metrics_iat",
+            "iotdq._kernels",
+            "iotdq.schema._flags_for",
+        }
+        assert not imported & forbidden
+        assert not any(name.startswith(tuple(forbidden)) for name in imported)
+
     def test_on_generated_defect_datasets(self) -> None:
         for seed in range(8):
             spec = GenSpec(
@@ -92,7 +181,7 @@ class TestFoldMatchesModularComposition:
             data, _truth = generate(spec, SCHEMA)
             config = AssessmentConfig(quantization_seconds=60.0)
             report = assess(data, SCHEMA, config)
-            _assert_scores_match(report, _modular_scores(data, SCHEMA, config, "ndjson"))
+            assert_scores_match(report, reference_scores(data, SCHEMA, config, "ndjson"))
 
     def test_with_full_checks_and_full_packet_key(self) -> None:
         spec = GenSpec(
@@ -110,7 +199,7 @@ class TestFoldMatchesModularComposition:
             format_checks="full",
         )
         report = assess(data, SCHEMA, config)
-        _assert_scores_match(report, _modular_scores(data, SCHEMA, config, "ndjson"))
+        assert_scores_match(report, reference_scores(data, SCHEMA, config, "ndjson"))
 
     def test_with_nested_attributes_and_malformed_lines(self) -> None:
         records = [
@@ -120,7 +209,7 @@ class TestFoldMatchesModularComposition:
         data = ndjson_bytes(records) + b'{broken\n{"sensor_id":"a"}\n'
         config = AssessmentConfig()
         report = assess(data, SCHEMA, config)
-        _assert_scores_match(report, _modular_scores(data, SCHEMA, config, "ndjson"))
+        assert_scores_match(report, reference_scores(data, SCHEMA, config, "ndjson"))
         # env.pm25 is unknown and pm25 is missing in every record.
         assert report.score("M4") == 0.0
         assert report.score("M5") == 0.0
@@ -148,9 +237,56 @@ class TestFoldMatchesModularComposition:
         for metric_id in ("M1", "M2", "M3", "M4", "M5", "M6"):
             scores = {r.score(metric_id) for r in reports}
             assert len(scores) == 1, metric_id
+        for report, source, fmt in zip(reports, (nd, ja, cv), ("ndjson", "json_array", "csv")):
+            assert_scores_match(report, reference_scores(source, SCHEMA, config, fmt))
         assert reports[0].score("M3") == pytest.approx(40 / 41)
         fingerprints = {r.dataset_fingerprint for r in reports}
         assert len(fingerprints) == 3
+
+
+class TestSensorIats:
+    """sensor_iats() yields the IATs assess() scores, per sensor."""
+
+    @pytest.mark.parametrize("duplicate_key", ["id_timestamp", "full_packet"])
+    def test_matches_reference_grouping(self, duplicate_key: str) -> None:
+        config = AssessmentConfig(duplicate_key=duplicate_key)
+        for seed in range(6):
+            data = _defect_dataset(seed)
+            want, _dups = packet_iats(read_packets(data, config, "ndjson"), duplicate_key)
+            got = sensor_iats(data, config)
+            assert [sid for sid, _ in got] == list(want)
+            for sid, iats in got:
+                assert iats.dtype == np.float64
+                assert iats.tolist() == want[sid], sid
+
+    def test_format_defaults_to_config(self) -> None:
+        records = [{"sensor_id": "a", "timestamp": 60 * i} for i in range(3)]
+        config = AssessmentConfig(dataset_format="json_array")
+        [(sid, iats)] = sensor_iats(json.dumps(records).encode(), config)
+        assert sid == "a" and iats.tolist() == [60.0, 60.0]
+
+    def test_empty_source_has_no_sensors(self) -> None:
+        assert sensor_iats(b"", AssessmentConfig()) == []
+
+    def test_majority_malformed_rejected(self) -> None:
+        with pytest.raises(DatasetRejectedError, match="malformed"):
+            sensor_iats(b'{"sensor_id":"a","timestamp":0}\n{x\n{y\n', AssessmentConfig())
+
+    def test_gaps_beyond_int64_range_are_exact(self) -> None:
+        # -9e18 to 9e18 ms wraps around in int64 subtraction.
+        records = [
+            {"sensor_id": "a", "timestamp": -9 * 10**18},
+            {"sensor_id": "a", "timestamp": 9 * 10**18},
+            {"sensor_id": "a", "timestamp": 9 * 10**18 + 61_440},
+        ]
+        data = ndjson_bytes(records)
+        [(_sid, iats)] = sensor_iats(data, AssessmentConfig())
+        assert iats.tolist() == [1.8e16, 61.44]
+        report = assess(data, parse_schema({}), AssessmentConfig())
+        entry = report.per_sensor["a"]
+        assert "degenerate" not in entry
+        assert entry["mode"] == 61.0
+        assert report.result("M1").evidence["degenerate_sensors"] == []
 
 
 class TestRejection:

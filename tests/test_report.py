@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotdq.errors import AggregationError
-from iotdq.model import METRIC_IDS, MetricResult
+from iotdq.errors import AggregationError, IotDqError
+from iotdq.model import METRIC_IDS, AssessmentConfig, MetricResult
+from iotdq.pipeline import assess
 from iotdq.report import aggregate, deserialize_report, serialize_report
+from iotdq.schema import parse_schema
+from iotdq.synthgen import DEFAULT_SCHEMA, GenSpec, generate
 
 EQUAL = {m: 1.0 for m in METRIC_IDS}
 
@@ -184,7 +187,7 @@ class TestSerialization:
         data = serialize_report(self._report())
         doc = json.loads(data)
         doc["aggregate_score"] = 0.1
-        with pytest.raises(ValueError, match="aggregate"):
+        with pytest.raises(AggregationError, match="aggregate"):
             deserialize_report(json.dumps(doc))
 
     @settings(max_examples=50, deadline=None)
@@ -202,3 +205,68 @@ class TestSerialization:
         report = aggregate(_results(dict(zip(METRIC_IDS, scores))), EQUAL)
         data = serialize_report(report)
         assert serialize_report(deserialize_report(data)) == data
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return doc
+
+
+_schema = parse_schema(DEFAULT_SCHEMA)
+_data, _truth = generate(
+    GenSpec(sensor_count=2, packets_per_sensor=30, duplicate_rate=0.1,
+            outlier_rate=0.05, missing_mandatory_rate=0.05, seed=5),
+    _schema,
+)
+_CANONICAL = serialize_report(assess(_data, _schema, AssessmentConfig()))
+_PATHS = list(_paths(json.loads(_CANONICAL)))
+
+_nodes = st.one_of(
+    st.integers(),
+    st.lists(st.integers(), max_size=3),
+    st.text(max_size=5),
+    st.none(),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+)
+
+
+class TestDeserializeFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(where=st.integers(min_value=0, max_value=len(_PATHS) - 1), value=_nodes)
+    def test_only_package_errors_escape(self, where: int, value) -> None:
+        doc = _replaced(json.loads(_CANONICAL), _PATHS[where], value)
+        try:
+            deserialize_report(json.dumps(doc))
+        except IotDqError:
+            pass
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"metrics": [1]},
+            {"metrics": [{"id": "M1"}]},
+            {"weights": {"raw": {}, "normalized": []}},
+            {"aggregate_score": 10**400},
+        ],
+    )
+    def test_malformed_nodes_are_aggregation_errors(self, doc) -> None:
+        full = json.loads(_CANONICAL)
+        full.update(doc)
+        with pytest.raises(AggregationError):
+            deserialize_report(json.dumps(full))

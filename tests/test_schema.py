@@ -1,22 +1,23 @@
-"""Schema parsing and per-packet validation verdicts."""
+"""Schema parsing and per-packet validation verdicts (schema._flags_for)."""
 
 from __future__ import annotations
 
 import json
 import logging
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotdq.errors import SchemaError
-from iotdq.model import DataPacket
+from iotdq.errors import ConfigError, SchemaError
+from iotdq.model import AssessmentConfig
 from iotdq.schema import (
+    FORMAT_KINDS,
     AttributeSpec,
-    PacketVerdict,
     SchemaDocument,
+    _flags_for,
     parse_schema,
-    validate_packet,
 )
 
 AIR_SCHEMA = {
@@ -33,6 +34,17 @@ AIR_SCHEMA = {
 
 def _schema() -> SchemaDocument:
     return parse_schema(json.dumps(AIR_SCHEMA))
+
+
+class Verdict(NamedTuple):
+    missing_mandatory: bool
+    has_unknown: bool
+    has_format_error: bool
+    detail: tuple[tuple[str, str], ...]
+
+
+def _judge(attributes: dict, checks: str = "types_only") -> Verdict:
+    return Verdict(*_flags_for(attributes, _schema().prepared(), checks == "full", True))
 
 
 class TestParseSchema:
@@ -121,9 +133,8 @@ class TestParseSchema:
 
 
 class TestValidatePacket:
-    def _verdict(self, attributes: dict, checks: str = "types_only") -> PacketVerdict:
-        packet = DataPacket("s1", 0, attributes)
-        return validate_packet(packet, _schema(), format_checks=checks)
+    def _verdict(self, attributes: dict, checks: str = "types_only") -> Verdict:
+        return _judge(attributes, checks)
 
     def test_clean_packet(self) -> None:
         v = self._verdict({"pm25": 12.5, "temperature": 21.0, "status": "ok"})
@@ -192,32 +203,27 @@ class TestValidatePacket:
         assert not low.has_format_error
         assert not high.has_format_error
 
-    def test_exempt_fields_not_unknown(self) -> None:
-        packet = DataPacket("s1", 0, {"pm25": 1.0, "temperature": 1.0, "seq": 9})
-        with_exempt = validate_packet(packet, _schema(), exempt_fields=frozenset({"seq"}))
-        without = validate_packet(packet, _schema())
-        assert not with_exempt.has_unknown
-        assert without.has_unknown
-
     def test_unknown_checks_mode_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            validate_packet(DataPacket("s1", 0), _schema(), format_checks="all")
+        with pytest.raises(ConfigError, match="format_checks"):
+            AssessmentConfig(format_checks="all")
 
-    def test_verdict_consistency_enforced(self) -> None:
-        with pytest.raises(ValueError):
-            PacketVerdict(
-                missing_mandatory=True,
-                has_unknown=False,
-                has_format_error=False,
-                detail=(),
-            )
-        with pytest.raises(ValueError):
-            PacketVerdict(
-                missing_mandatory=False,
-                has_unknown=False,
-                has_format_error=False,
-                detail=(("a", "type"),),
-            )
+    @settings(max_examples=200, deadline=None)
+    @given(
+        attributes=st.dictionaries(
+            st.sampled_from(["pm25", "temperature", "status", "count", "active", "debug"]),
+            st.sampled_from([None, True, 3, -50, 2.5, 900.0, "ok", "broken"]),
+        ),
+        checks=st.sampled_from(["types_only", "full"]),
+    )
+    def test_verdict_consistency_enforced(self, attributes: dict, checks: str) -> None:
+        # The flags agree with the detail, and collect=False gives the same flags.
+        v = self._verdict(attributes, checks)
+        kinds = {kind for _name, kind in v.detail}
+        assert v.missing_mandatory == ("missing" in kinds)
+        assert v.has_unknown == ("unknown" in kinds)
+        assert v.has_format_error == bool(kinds & FORMAT_KINDS)
+        quick = _flags_for(attributes, _schema().prepared(), checks == "full", False)
+        assert quick[:3] == v[:3] and quick[3] is None
 
     def test_attribute_spec_direct_construction_validates(self) -> None:
         with pytest.raises(SchemaError):

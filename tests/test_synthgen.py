@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from iotdq.errors import GenSpecError
-from iotdq.ingest import group_by_sensor, parse_dataset
 from iotdq.model import AssessmentConfig
-from iotdq.pipeline import assess
+from iotdq.pipeline import assess, sensor_iats
 from iotdq.schema import parse_schema
 from iotdq.synthgen import DEFAULT_SCHEMA, GenSpec, GroundTruth, generate, iat_histogram
 
@@ -121,9 +120,7 @@ class TestBookkeeping:
     def test_jitter_bounds_hold(self) -> None:
         spec = GenSpec(packets_per_sensor=200, jitter_fraction=0.2, seed=3)
         data, _ = generate(spec, SCHEMA)
-        packets, _ = parse_dataset(data, "ndjson", AssessmentConfig())
-        stream = group_by_sensor(packets)[0]
-        iats = np.asarray(stream.iat_seconds)
+        [(_sensor, iats)] = sensor_iats(data, AssessmentConfig())
         assert (iats >= 60.0 * 0.8 - 0.001).all()
         assert (iats <= 60.0 * 1.2 + 0.001).all()
 
@@ -200,9 +197,8 @@ class TestHistogram:
     def test_clean_interval_dominates(self) -> None:
         spec = GenSpec(packets_per_sensor=300, jitter_fraction=0.2, seed=8)
         data, _ = generate(spec, SCHEMA)
-        packets, _ = parse_dataset(data, "ndjson", AssessmentConfig())
-        stream = group_by_sensor(packets)[0]
-        hist = iat_histogram(stream.iat_seconds, 60.0)
+        [(_sensor, iats)] = sensor_iats(data, AssessmentConfig())
+        hist = iat_histogram(iats, 60.0)
         top_bin = max(hist, key=lambda bc: bc[1])[0]
         assert top_bin == 60.0
 
