@@ -124,11 +124,7 @@ def cmd_enclave(args: argparse.Namespace) -> int:
     runner = EnclaveRunner(args.proxy, args.token)
     runner.register()
     print(f"enclave registered, code hash {runner.code_hash}")
-    if args.once:
-        state = runner.run_once()
-        print(f"processed: {state or 'queue empty'}")
-    else:
-        runner.serve_forever()
+    runner.serve_forever()
     return 0
 
 
@@ -235,7 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enclave", help="run the enclave worker")
     p.add_argument("--proxy", required=True)
     p.add_argument("--token", required=True)
-    p.add_argument("--once", action="store_true")
     p.set_defaults(func=cmd_enclave)
 
     p = sub.add_parser("code-hash", help="print this installation's code hash")

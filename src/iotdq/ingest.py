@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import re
 from datetime import datetime, timezone
@@ -17,9 +18,7 @@ from typing import Any, Iterator, Mapping
 
 from .errors import IngestFormatError
 
-__all__ = ["FORMATS", "parse_timestamp", "iter_records"]
-
-FORMATS = ("ndjson", "csv", "json_array")
+__all__ = ["parse_timestamp", "iter_records"]
 
 _EPOCH_MS_FLOOR = 1e11  # numeric timestamps at or above this are milliseconds
 _EPOCH_MS_FLOOR_INT = int(_EPOCH_MS_FLOOR)
@@ -163,9 +162,20 @@ def iter_records(
         reader = csv.DictReader(
             io.StringIO(text, newline=""), restkey=None, restval=_MISSING
         )
-        if reader.fieldnames is None:
-            return
-        for index, row in enumerate(reader):
+        try:
+            if reader.fieldnames is None:
+                return
+        except csv.Error as exc:
+            raise IngestFormatError(f"CSV header is unreadable: {exc}") from exc
+        for index in itertools.count():
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                # A field over the size limit, say; reading resumes at the next row.
+                yield index, None, f"unreadable CSV row: {exc}"
+                continue
             if None in row:
                 yield index, None, "row has more fields than the header"
                 continue
@@ -173,7 +183,6 @@ def iter_records(
                 k: _coerce_csv_value(v) for k, v in row.items() if v is not _MISSING
             }
             yield index, record, None
-        return
     if format == "json_array":
         try:
             doc = json.loads(source)

@@ -20,6 +20,7 @@ the only verdict implementation.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import logging
 from array import array
@@ -243,6 +244,8 @@ def sensor_iats(
     a sensor keeps after deduplication under config.duplicate_key. Raises
     DatasetRejectedError when more than half of the records are malformed.
     """
+    # No verdict is read here; under types_only the fold memoises them.
+    config = dataclasses.replace(config, format_checks="types_only")
     tally = _fold(data, _NO_SCHEMA, config, format or config.dataset_format)
     return list(zip(tally.sensor_index, _sensor_iat_arrays(tally.ts_buffers)))
 

@@ -2,19 +2,11 @@
 
 The proxy never sees plaintext payloads; it stores sealed envelopes,
 their non-sensitive routing metadata (content kind, domain label, reply
-key), and the assessment queue. Every route is guarded by a bearer
-token bound to one role, and any (role, route) pair outside the scope
-table answers 403.
-
-Routes:
-    PUT  /objects                      assessee: dataset|schema; assessor: config; enclave: report
-    GET  /objects/{id}                 enclave: dataset|schema|config; assessee: report
-    GET  /attestation                  any role
-    POST /attestation                  enclave
-    POST /assessments                  assessor
-    GET  /assessments/{id}             assessor, assessee
-    POST /assessments/claim            enclave
-    POST /assessments/{id}/complete    enclave
+key), and the assessment queue. Every request is authenticated by a
+bearer token bound to one role and then answered by _Handler._dispatch
+from ROUTES, the one table of routes and the roles each admits; the
+object routes admit roles per content kind, from PUT_SCOPES and
+GET_SCOPES. A (role, route) pair outside those tables answers 403.
 """
 
 from __future__ import annotations
@@ -22,13 +14,14 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import secrets
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .sealing import envelope_key_ids
 from ..errors import SealingError
@@ -36,6 +29,7 @@ from ..errors import SealingError
 __all__ = [
     "CONTENT_KINDS",
     "ROLES",
+    "ROUTES",
     "AccessToken",
     "SealedObject",
     "ProxyServer",
@@ -60,19 +54,35 @@ GET_SCOPES: dict[str, frozenset[str]] = {
     "report": frozenset({"assessee"}),
 }
 
+
+class _Route(NamedTuple):
+    method: str
+    pattern: tuple[str, ...]  # path segments; "{id}" matches any one segment
+    handler: str  # _Handler method, called with the token and the ids
+    roles: frozenset[str]
+
+
+_ANY_ROLE = frozenset(ROLES)
+_ENCLAVE = frozenset({"enclave"})
+
+ROUTES = (
+    # The two object routes check PUT_SCOPES / GET_SCOPES per content kind.
+    _Route("PUT", ("objects",), "_put_object", _ANY_ROLE),
+    _Route("GET", ("objects", "{id}"), "_get_object", _ANY_ROLE),
+    _Route("GET", ("attestation",), "_get_attestation", _ANY_ROLE),
+    _Route("POST", ("attestation",), "_post_attestation", _ENCLAVE),
+    _Route("POST", ("assessments",), "_post_assessment", frozenset({"assessor"})),
+    _Route(
+        "GET", ("assessments", "{id}"), "_get_assessment",
+        frozenset({"assessor", "assessee"}),
+    ),
+    _Route("POST", ("assessments", "claim"), "_claim", _ENCLAVE),
+    _Route("POST", ("assessments", "{id}", "complete"), "_complete", _ENCLAVE),
+)
+
 DEFAULT_MAX_OBJECT_BYTES = 1 << 30  # dataset size cap
-DEFAULT_TOKEN_TTL = 24 * 3600.0
-
-
-def _scope_of(principal: str) -> frozenset[tuple[str, str]]:
-    scope = set()
-    for kind, roles in PUT_SCOPES.items():
-        if principal in roles:
-            scope.add((kind, "put"))
-    for kind, roles in GET_SCOPES.items():
-        if principal in roles:
-            scope.add((kind, "get"))
-    return frozenset(scope)
+_TOKEN_TTL = 24 * 3600.0
+_OBJECT_ID = re.compile(r"[0-9a-f]{32}")  # secrets.token_hex(16)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,10 +92,6 @@ class AccessToken:
     token: str
     principal: str
     expiry: float
-
-    @property
-    def scope(self) -> frozenset[tuple[str, str]]:
-        return _scope_of(self.principal)
 
     @property
     def expired(self) -> bool:
@@ -104,6 +110,11 @@ class SealedObject:
     created_at: float
     domain: str = ""
     reply_public_key: str = ""
+
+
+def _is_object_id(value: Any) -> bool:
+    """Whether value has the form of an id that _Store.put_object issues."""
+    return isinstance(value, str) and _OBJECT_ID.fullmatch(value) is not None
 
 
 class _Store:
@@ -137,15 +148,8 @@ class _Store:
             domain=domain,
             reply_public_key=reply_public_key,
         )
-        meta = {
-            "object_id": obj.object_id,
-            "recipient_key_id": obj.recipient_key_id,
-            "sender_key_id": obj.sender_key_id,
-            "content_kind": obj.content_kind,
-            "created_at": obj.created_at,
-            "domain": obj.domain,
-            "reply_public_key": obj.reply_public_key,
-        }
+        meta = asdict(obj)
+        del meta["ciphertext"]
         with self._lock:
             self._write_atomic(
                 self.objects_dir / f"{obj.object_id}.bin", obj.ciphertext
@@ -156,7 +160,10 @@ class _Store:
             )
         return obj
 
-    def get_object(self, object_id: str) -> "SealedObject | None":
+    def get_object(self, object_id: Any) -> "SealedObject | None":
+        """The stored object, or None for any id this store never issued."""
+        if not _is_object_id(object_id):  # before the id names a file
+            return None
         meta_path = self.objects_dir / f"{object_id}.json"
         bin_path = self.objects_dir / f"{object_id}.bin"
         if not meta_path.exists() or not bin_path.exists():
@@ -174,15 +181,7 @@ class _Store:
 
     def create_assessment(
         self, dataset_id: str, schema_id: str, config_id: str, domain: str
-    ) -> "dict[str, Any] | str":
-        """New queued assessment, or an error code string."""
-        dataset = self.get_object(dataset_id)
-        schema = self.get_object(schema_id)
-        config = self.get_object(config_id)
-        if dataset is None or schema is None or config is None:
-            return "unknown_object"
-        if dataset.domain != domain:
-            return "domain_mismatch"
+    ) -> dict[str, Any]:
         record = {
             "assessment_id": secrets.token_hex(16),
             "dataset_id": dataset_id,
@@ -235,195 +234,186 @@ class _Store:
         )
 
 
+class _Refusal(Exception):
+    """An error answer (status, message); raised by any step, sent by _dispatch."""
+
+
+def _admit(token: AccessToken, roles: frozenset[str]) -> None:
+    if token.principal not in roles:
+        raise _Refusal(403, "out of scope")
+
+
+def _match(method: str, path: str) -> tuple[_Route, list[str]]:
+    parts = [p for p in path.split("/") if p]
+    for route in ROUTES:
+        if route.method == method and len(route.pattern) == len(parts):
+            if all(p in ("{id}", q) for p, q in zip(route.pattern, parts)):
+                ids = [q for p, q in zip(route.pattern, parts) if p == "{id}"]
+                return route, ids
+    raise _Refusal(404, "no such route")
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server: "ProxyServer"
+    _unread = False  # a request body is still in the socket
 
     def log_message(self, format: str, *args: Any) -> None:
         logger.debug("%s %s", self.address_string(), format % args)
 
-    def _send(self, status: int, body: bytes, content_type: str = "application/json") -> None:
+    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
+        self._dispatch()
+
+    def do_PUT(self) -> None:  # noqa: N802
+        self._dispatch()
+
+    def do_POST(self) -> None:  # noqa: N802
+        self._dispatch()
+
+    def _dispatch(self) -> None:
+        self._unread = (
+            self.headers.get("Content-Length", "0") != "0"
+            or "Transfer-Encoding" in self.headers
+        )
+        try:
+            token = self._authenticate()
+            route, ids = _match(self.command, self.path)
+            _admit(token, route.roles)
+            getattr(self, route.handler)(token, *ids)
+        except _Refusal as refusal:
+            status, message = refusal.args
+            self._send_json(status, {"error": message})
+
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str = "application/json",
+        headers: tuple[tuple[str, str], ...] = (),
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in headers:
+            self.send_header(name, value)
+        if self._unread:
+            # The next request on this connection would be parsed from the
+            # body's bytes; sending this header also ends the connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _send_json(self, status: int, doc: dict) -> None:
         self._send(status, json.dumps(doc, sort_keys=True).encode("utf-8"))
 
-    def _fail(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
-
-    def _authenticate(self) -> "AccessToken | None":
+    def _authenticate(self) -> AccessToken:
         header = self.headers.get("Authorization", "")
         if header.startswith("Bearer "):
             token = self.server.lookup_token(header[7:].strip())
             if token is not None and not token.expired:
                 return token
-        self._fail(401, "invalid or expired token")
-        return None
+        raise _Refusal(401, "invalid or expired token")
 
-    def _read_body(self) -> "bytes | None":
+    def _body(self) -> bytes:
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()) or (
+            "Transfer-Encoding" in self.headers
+        ):
+            raise _Refusal(400, "a body needs a decimal Content-Length")
+        if int(length) > self.server.max_object_bytes:
+            raise _Refusal(413, "object exceeds the size cap")
+        body = self.rfile.read(int(length))
+        self._unread = False
+        return body
+
+    def _json_body(self, *keys: str) -> dict[str, Any]:
+        """The body as a JSON object holding every one of keys, else 400."""
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._fail(400, "bad content length")
-            return None
-        if length > self.server.max_object_bytes:
-            self._fail(413, "object exceeds the size cap")
-            self.close_connection = True
-            return None
-        return self.rfile.read(length)
+            doc = json.loads(self._body())
+        except (ValueError, RecursionError):
+            doc = None
+        if not isinstance(doc, dict) or not all(key in doc for key in keys):
+            raise _Refusal(400, f"body must be a JSON object with {', '.join(keys)}")
+        return doc
 
-    def do_PUT(self) -> None:  # noqa: N802 (http.server naming)
-        token = self._authenticate()
-        if token is None:
-            return
-        if self.path.rstrip("/") != "/objects":
-            self._fail(404, "no such route")
-            return
+    def _put_object(self, token: AccessToken) -> None:
         kind = self.headers.get("X-Content-Kind", "")
         if kind not in CONTENT_KINDS:
-            self._fail(400, "unknown content kind")
-            return
-        if token.principal not in PUT_SCOPES[kind]:
-            self._fail(403, "out of scope")
-            return
-        body = self._read_body()
-        if body is None:
-            return
+            raise _Refusal(400, "unknown content kind")
+        _admit(token, PUT_SCOPES[kind])
         try:
             obj = self.server.store.put_object(
                 kind,
-                body,
+                self._body(),
                 domain=self.headers.get("X-Domain", ""),
                 reply_public_key=self.headers.get("X-Reply-Key", ""),
             )
         except SealingError as exc:
-            self._fail(400, str(exc))
-            return
+            raise _Refusal(400, str(exc)) from None
         self._send_json(201, {"object_id": obj.object_id})
 
-    def do_GET(self) -> None:  # noqa: N802
-        token = self._authenticate()
-        if token is None:
-            return
-        parts = [p for p in self.path.split("/") if p]
-        if parts == ["attestation"]:
-            stub = self.server.store.get_attestation()
-            if stub is None:
-                self._fail(404, "no attestation registered")
-            else:
-                self._send(200, stub)
-            return
-        if len(parts) == 2 and parts[0] == "objects":
-            obj = self.server.store.get_object(parts[1])
-            if obj is None or token.principal not in GET_SCOPES.get(
-                obj.content_kind, frozenset()
-            ):
-                # Hide existence from out-of-scope roles only when allowed
-                # kinds exist; unknown ids answer 404 for everyone.
-                if obj is None:
-                    self._fail(404, "no such object")
-                else:
-                    self._fail(403, "out of scope")
-                return
-            self.send_response(200)
-            self.send_header("Content-Type", "application/octet-stream")
-            self.send_header("Content-Length", str(len(obj.ciphertext)))
-            self.send_header("X-Content-Kind", obj.content_kind)
-            self.send_header("X-Domain", obj.domain)
-            self.send_header("X-Reply-Key", obj.reply_public_key)
-            self.end_headers()
-            self.wfile.write(obj.ciphertext)
-            return
-        if len(parts) == 2 and parts[0] == "assessments":
-            if token.principal not in ("assessor", "assessee"):
-                self._fail(403, "out of scope")
-                return
-            record = self.server.store.get_assessment(parts[1])
-            if record is None:
-                self._fail(404, "no such assessment")
-            else:
-                self._send_json(200, record)
-            return
-        self._fail(404, "no such route")
+    def _get_object(self, token: AccessToken, object_id: str) -> None:
+        obj = self.server.store.get_object(object_id)
+        if obj is None:
+            raise _Refusal(404, "no such object")
+        _admit(token, GET_SCOPES[obj.content_kind])
+        self._send(
+            200,
+            obj.ciphertext,
+            "application/octet-stream",
+            (
+                ("X-Content-Kind", obj.content_kind),
+                ("X-Domain", obj.domain),
+                ("X-Reply-Key", obj.reply_public_key),
+            ),
+        )
 
-    def do_POST(self) -> None:  # noqa: N802
-        token = self._authenticate()
-        if token is None:
-            return
-        parts = [p for p in self.path.split("/") if p]
-        if parts == ["attestation"]:
-            if token.principal != "enclave":
-                self._fail(403, "out of scope")
-                return
-            body = self._read_body()
-            if body is None:
-                return
-            self.server.store.set_attestation(body)
-            self._send_json(200, {"status": "registered"})
-            return
-        if parts == ["assessments"]:
-            if token.principal != "assessor":
-                self._fail(403, "out of scope")
-                return
-            body = self._read_body()
-            if body is None:
-                return
-            try:
-                doc = json.loads(body)
-                dataset_id = doc["dataset_id"]
-                schema_id = doc["schema_id"]
-                config_id = doc["config_id"]
-                domain = doc.get("domain", "")
-            except (ValueError, KeyError, TypeError):
-                self._fail(400, "malformed assessment request")
-                return
-            outcome = self.server.store.create_assessment(
-                dataset_id, schema_id, config_id, domain
-            )
-            if outcome == "unknown_object":
-                self._fail(404, "referenced object not found")
-            elif outcome == "domain_mismatch":
-                self._fail(409, "config domain does not match the dataset")
-            else:
-                self._send_json(201, outcome)
-            return
-        if parts == ["assessments", "claim"]:
-            if token.principal != "enclave":
-                self._fail(403, "out of scope")
-                return
-            record = self.server.store.claim_assessment()
-            if record is None:
-                self._send(204, b"", "text/plain")
-            else:
-                self._send_json(200, record)
-            return
-        if len(parts) == 3 and parts[0] == "assessments" and parts[2] == "complete":
-            if token.principal != "enclave":
-                self._fail(403, "out of scope")
-                return
-            body = self._read_body()
-            if body is None:
-                return
-            try:
-                doc = json.loads(body)
-                state = doc["state"]
-                report_id = doc.get("report_id")
-            except (ValueError, KeyError, TypeError):
-                self._fail(400, "malformed completion")
-                return
-            if state not in ("done", "failed"):
-                self._fail(400, "state must be done or failed")
-                return
-            if self.server.store.complete_assessment(parts[1], state, report_id):
-                self._send_json(200, {"status": "recorded"})
-            else:
-                self._fail(404, "no running assessment with that id")
-            return
-        self._fail(404, "no such route")
+    def _get_attestation(self, _token: AccessToken) -> None:
+        stub = self.server.store.get_attestation()
+        if stub is None:
+            raise _Refusal(404, "no attestation registered")
+        self._send(200, stub)
+
+    def _post_attestation(self, _token: AccessToken) -> None:
+        self.server.store.set_attestation(self._body())
+        self._send_json(200, {"status": "registered"})
+
+    def _post_assessment(self, _token: AccessToken) -> None:
+        keys = ("dataset_id", "schema_id", "config_id")
+        doc = self._json_body(*keys)
+        store = self.server.store
+        dataset, schema, config = (store.get_object(doc[key]) for key in keys)
+        if dataset is None or schema is None or config is None:
+            raise _Refusal(404, "referenced object not found")
+        domain = doc.get("domain", "")
+        if dataset.domain != domain:
+            raise _Refusal(409, "config domain does not match the dataset")
+        record = store.create_assessment(*(doc[key] for key in keys), domain)
+        self._send_json(201, record)
+
+    def _get_assessment(self, _token: AccessToken, assessment_id: str) -> None:
+        record = self.server.store.get_assessment(assessment_id)
+        if record is None:
+            raise _Refusal(404, "no such assessment")
+        self._send_json(200, record)
+
+    def _claim(self, _token: AccessToken) -> None:
+        record = self.server.store.claim_assessment()
+        if record is None:
+            self._send(204, b"", "text/plain")
+        else:
+            self._send_json(200, record)
+
+    def _complete(self, _token: AccessToken, assessment_id: str) -> None:
+        doc = self._json_body("state")
+        state, report_id = doc["state"], doc.get("report_id")
+        if state not in ("done", "failed"):
+            raise _Refusal(400, "state must be done or failed")
+        if report_id is not None and not _is_object_id(report_id):
+            raise _Refusal(404, "no such object")
+        if not self.server.store.complete_assessment(assessment_id, state, report_id):
+            raise _Refusal(404, "no running assessment with that id")
+        self._send_json(200, {"status": "recorded"})
 
 
 class ProxyServer(ThreadingHTTPServer):
@@ -437,12 +427,11 @@ class ProxyServer(ThreadingHTTPServer):
         host: str = "127.0.0.1",
         port: int = 0,
         max_object_bytes: int = DEFAULT_MAX_OBJECT_BYTES,
-        token_ttl: float = DEFAULT_TOKEN_TTL,
     ) -> None:
         super().__init__((host, port), _Handler)
         self.store = _Store(store_dir)
         self.max_object_bytes = max_object_bytes
-        expiry = time.time() + token_ttl
+        expiry = time.time() + _TOKEN_TTL
         self._tokens = {
             role: AccessToken(
                 token=secrets.token_urlsafe(24), principal=role, expiry=expiry

@@ -9,8 +9,13 @@ import pytest
 
 from conftest import ndjson_bytes
 from iotdq.cli import main
-from iotdq.report import deserialize_report
+from iotdq.model import AssessmentConfig
+from iotdq.pipeline import assess
+from iotdq.report import deserialize_report, serialize_report
+from iotdq.schema import parse_schema
 from iotdq.workflow.attestation import compute_code_hash
+from iotdq.workflow.enclave import EnclaveRunner
+from iotdq.workflow.proxy import ProxyServer
 
 
 @pytest.fixture
@@ -255,3 +260,87 @@ class TestMisc:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+@pytest.fixture
+def proxy(tmp_path: Path):
+    server = ProxyServer(str(tmp_path / "store"))
+    server.start()
+    yield server
+    server.stop()
+
+
+class TestDataBlindCommands:
+    def _run(self, capsys: pytest.CaptureFixture, *argv: str) -> list[str]:
+        """Run one command; returns its printed lines."""
+        assert main(list(argv)) == 0, argv
+        return capsys.readouterr().out.splitlines()
+
+    def test_submit_request_status_fetch(self, dataset, proxy, capsys) -> None:
+        enclave = EnclaveRunner(proxy.base_url, proxy.token_for("enclave"))
+        enclave.register()
+        tmp = dataset["tmp"]
+        config = AssessmentConfig(domain="air-quality")
+        (tmp / "config.json").write_bytes(config.to_json())
+        keyfile = tmp / "reply.key"
+        reach = ["--proxy", proxy.base_url, "--token"]
+
+        [code_hash] = self._run(capsys, "code-hash")
+        self._run(capsys, "keygen", "--out", str(keyfile))
+        printed = self._run(
+            capsys,
+            "submit", "--data", str(dataset["data"]),
+            "--schema", str(dataset["schema"]),
+            *reach, proxy.token_for("assessee"),
+            "--domain", "air-quality",
+            "--expected-code-hash", code_hash,
+            "--keyfile", str(keyfile),
+        )
+        ids = dict(line.split() for line in printed)
+        [line] = self._run(
+            capsys,
+            "request", "--config", str(tmp / "config.json"),
+            "--dataset-id", ids["dataset_id"],
+            "--schema-id", ids["schema_id"],
+            *reach, proxy.token_for("assessor"),
+            "--domain", "air-quality",
+        )
+        assessment_id = line.split()[1]
+        status = ["status", "--assessment-id", assessment_id, *reach]
+        printed = self._run(capsys, *status, proxy.token_for("assessor"))
+        assert json.loads("\n".join(printed))["state"] == "pending"
+
+        fetch = [
+            "fetch", "--assessment-id", assessment_id,
+            *reach, proxy.token_for("assessee"), "--keyfile", str(keyfile),
+        ]
+        assert main([*fetch, "--out", str(tmp / "early.json")]) == 1
+        assert "not ready" in capsys.readouterr().out
+
+        assert enclave.run_once() == "done"
+        printed = self._run(capsys, *status, proxy.token_for("assessee"))
+        assert json.loads("\n".join(printed))["state"] == "done"
+        self._run(capsys, *fetch, "--out", str(tmp / "report.json"))
+        local = assess(
+            dataset["data"].read_bytes(),
+            parse_schema(dataset["schema"].read_bytes()),
+            config,
+        )
+        assert (tmp / "report.json").read_bytes() == serialize_report(local)
+
+    def test_pinned_hash_mismatch_exits_1(self, dataset, proxy, capsys) -> None:
+        EnclaveRunner(proxy.base_url, proxy.token_for("enclave")).register()
+        keyfile = dataset["tmp"] / "reply.key"
+        self._run(capsys, "keygen", "--out", str(keyfile))
+        code = main(
+            [
+                "submit", "--data", str(dataset["data"]),
+                "--schema", str(dataset["schema"]),
+                "--proxy", proxy.base_url, "--token", proxy.token_for("assessee"),
+                "--domain", "air-quality",
+                "--expected-code-hash", "0" * 64,
+                "--keyfile", str(keyfile),
+            ]
+        )
+        assert code == 1
+        assert "does not match" in capsys.readouterr().err

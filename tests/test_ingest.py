@@ -224,6 +224,18 @@ class TestCsv:
         assert list(iter_records(b"id,ts\n", "csv")) == []
         assert sensor_iats(b"id,ts\n", CFG, format="csv") == []
 
+    def test_field_over_the_csv_limit_is_a_malformed_row(self) -> None:
+        data = b"id,ts,note\na,0," + b"x" * 200_000 + b"\na,60,fine\n"
+        [first, second] = iter_records(data, "csv")
+        assert first[:2] == (0, None) and "field larger" in first[2]
+        assert second == (1, {"id": "a", "ts": 60, "note": "fine"}, None)
+        assert _valid_count(data, self.CFG, "csv") == 1
+
+    def test_header_over_the_csv_limit_rejected(self) -> None:
+        data = b"id,ts," + b"x" * 200_000 + b"\na,0,1\n"
+        with pytest.raises(IngestFormatError, match="header"):
+            list(iter_records(data, "csv"))
+
 
 class TestJsonArray:
     def test_array_of_objects(self) -> None:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import iotdq.pipeline
 from conftest import ndjson_bytes
 from iotdq.errors import DatasetRejectedError
 from iotdq.model import AssessmentConfig
@@ -264,6 +265,24 @@ class TestSensorIats:
         config = AssessmentConfig(dataset_format="json_array")
         [(sid, iats)] = sensor_iats(json.dumps(records).encode(), config)
         assert sid == "a" and iats.tolist() == [60.0, 60.0]
+
+    def test_full_checks_judge_each_signature_once(self, monkeypatch) -> None:
+        calls: list = []
+        original = iotdq.pipeline._flags_for
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("collect"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(iotdq.pipeline, "_flags_for", counting)
+        records = [
+            {"sensor_id": "a", "timestamp": 60 * i, "pm25": 1.0} for i in range(100)
+        ]
+        config = AssessmentConfig(format_checks="full")
+        [(_sid, iats)] = sensor_iats(ndjson_bytes(records), config)
+        assert iats.tolist() == [60.0] * 99
+        # One signature: its flags, then its detail (pm25 is unknown).
+        assert calls == [False, True]
 
     def test_empty_source_has_no_sensors(self) -> None:
         assert sensor_iats(b"", AssessmentConfig()) == []
