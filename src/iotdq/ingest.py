@@ -3,7 +3,7 @@
 Timestamps are normalized to integer epoch milliseconds. Numeric values
 below 1e11 are read as epoch seconds (fractions allowed), larger ones as
 epoch milliseconds; strings are parsed as RFC 3339 / ISO 8601, naive
-times taken as UTC. Nested objects are flattened with dotted paths.
+times taken as UTC.
 """
 
 from __future__ import annotations
@@ -200,23 +200,3 @@ def iter_records(
         return
     raise IngestFormatError(f"unknown dataset format: {format!r}")
 
-
-def flatten_attributes(
-    record: Mapping[str, Any], skip: frozenset[str]
-) -> dict[str, Any]:
-    """Flatten nested objects with dotted paths; reject non-scalar leaves."""
-    out: dict[str, Any] = {}
-    stack: list[tuple[str, Mapping[str, Any]]] = [("", record)]
-    while stack:
-        prefix, mapping = stack.pop()
-        for key, value in mapping.items():
-            if not prefix and key in skip:
-                continue
-            path = f"{prefix}{key}"
-            if isinstance(value, dict):
-                stack.append((f"{path}.", value))
-            elif isinstance(value, (list, tuple)):
-                raise ValueError(f"attribute {path!r} has a non-scalar value")
-            else:
-                out[path] = value
-    return out

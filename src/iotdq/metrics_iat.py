@@ -121,19 +121,12 @@ def m1_from_sums(
 
 
 def packet_key_fields(
-    sensor_id: str,
-    timestamp_ms: int,
-    attributes: Mapping[str, Any],
-    duplicate_key: str,
-) -> "tuple[str, int] | bytes":
-    """Duplicate identity of one packet under the configured key."""
-    if duplicate_key == "id_timestamp":
-        return (sensor_id, timestamp_ms)
-    if duplicate_key == "full_packet":
-        canon = json.dumps(
-            {"a": attributes, "s": sensor_id, "t": timestamp_ms},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.blake2b(canon.encode("utf-8"), digest_size=16).digest()
-    raise ValueError(f"unknown duplicate_key: {duplicate_key!r}")
+    sensor_id: str, timestamp_ms: int, attributes: Mapping[str, Any]
+) -> bytes:
+    """Duplicate identity of one packet under the full_packet key."""
+    canon = json.dumps(
+        {"a": attributes, "s": sensor_id, "t": timestamp_ms},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.blake2b(canon.encode("utf-8"), digest_size=16).digest()

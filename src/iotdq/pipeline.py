@@ -9,13 +9,16 @@ materializes no packet objects, which keeps million-record datasets
 inside a tight time and memory envelope.
 
 Records arrive from ingest.iter_records, which decodes NDJSON in blocks
-of a few MiB rather than line by line. Under format_checks="types_only"
-a record's schema verdict depends only on its keys and value types, so
-the fold keeps one verdict per such signature and builds no attribute
-dict for a record whose signature it has seen, unless the full_packet
-duplicate key needs one. Records with nested values and every record
-under format_checks="full" are judged one by one. _flags_for remains
-the only verdict implementation.
+of a few MiB rather than line by line. M4-M6 come from one Counter of
+(metric, None) per violating record and (metric, attribute) per
+violation. Under format_checks="types_only" a record's violations depend
+only on its keys and value types, so the fold keeps its counter keys per
+such signature and builds no attribute dict for a record whose signature
+it has seen, unless the full_packet duplicate key needs one. Records
+with nested values and every record under format_checks="full" are
+judged one by one. Each sensor keeps its own set of duplicate keys: the
+timestamp under id_timestamp, the packet_key_fields digest under
+full_packet.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DatasetRejectedError, DegenerateIatError
-from .ingest import flatten_attributes, iter_records, parse_timestamp
+from .ingest import iter_records, parse_timestamp
 from .metrics_iat import (
     EVIDENCE_CAP,
     estimate_mode,
@@ -42,43 +45,46 @@ from .metrics_iat import (
 )
 from .model import AssessmentConfig, MetricResult, QualityReport
 from .report import aggregate
-from .schema import FORMAT_KINDS, SchemaDocument, _flags_for
+from .schema import METRIC_OF_KIND, SchemaDocument, _flags_for
 
 __all__ = ["assess", "assess_file", "sensor_iats"]
 
 logger = logging.getLogger(__name__)
 
-_PACK_BITS = 20  # sensor index bits in the packed duplicate key
-_MEMO_CAP = 1 << 12  # distinct record signatures whose verdict is kept
-_CLEAN = (False, False, False, ())
+_MEMO_CAP = 1 << 12  # distinct record signatures whose counter keys are kept
 _NO_SCHEMA = SchemaDocument(attributes={}, mandatory=frozenset())
 
 
 def _attributes(
     record: dict[str, Any], ts_field: str, sid_field: str
 ) -> tuple[dict[str, Any], bool]:
-    """A record's attributes, flattened, and whether any value was nested."""
+    """A record's attributes, nested objects flattened to dotted paths, and
+    whether any value was nested. Raises ValueError on a list value."""
     attrs: dict[str, Any] = {}
-    for key, value in record.items():
-        if key == ts_field or key == sid_field:
-            continue
-        tv = type(value)
-        if tv is dict:
-            return flatten_attributes(record, frozenset((ts_field, sid_field))), True
-        if tv is list or tv is tuple:
-            raise ValueError(f"attribute {key!r} has a non-scalar value")
-        attrs[key] = value
-    return attrs, False
+    nested = False
+    stack: list[tuple[str, dict[str, Any]]] = [("", record)]
+    while stack:
+        prefix, mapping = stack.pop()
+        for key, value in mapping.items():
+            if not prefix and (key == ts_field or key == sid_field):
+                continue
+            tv = type(value)
+            if tv is dict:
+                stack.append((f"{prefix}{key}.", value))
+                nested = True
+            elif tv is list or tv is tuple:
+                raise ValueError(f"attribute {prefix + key!r} has a non-scalar value")
+            else:
+                attrs[prefix + key] = value
+    return attrs, nested
 
 
-def _verdict(
-    attrs: dict[str, Any], prepared: tuple, full_checks: bool
-) -> tuple[bool, bool, bool, tuple]:
-    """(missing, unknown, format_error, detail); detail is empty when clean."""
-    flags = _flags_for(attrs, prepared, full_checks, collect=False)
-    if not any(flags[:3]):
-        return _CLEAN
-    return _flags_for(attrs, prepared, full_checks, collect=True)
+def _hits(detail: tuple[tuple[str, str], ...]) -> tuple:
+    """The violation counter keys of one record's _flags_for detail."""
+    if not detail:
+        return ()
+    pairs = [(METRIC_OF_KIND[kind], attribute) for attribute, kind in detail]
+    return (*{(metric, None) for metric, _ in pairs}, *pairs)
 
 
 def _sensor_iat_arrays(buffers: list[array]) -> list[np.ndarray]:
@@ -95,17 +101,11 @@ class _Tally(NamedTuple):
     """What one pass over the records leaves for scoring."""
 
     total: int  # valid records
-    m4_bad: int
-    m5_bad: int
-    m6_bad: int
-    dup_count: int
+    violations: Counter  # (metric, None) per record, (metric, attribute)
     dup_examples: list[list]
-    m4_attrs: Counter[str]
-    m5_attrs: Counter[str]
-    m6_attrs: Counter[str]
     sensor_index: dict[str, int]  # sensor id -> index, first-appearance order
-    raw_counts: list[int]
     ts_buffers: list[array]  # deduplicated timestamps (ms) per sensor
+    dups: list[int]  # duplicates per sensor
 
 
 def _fold(
@@ -123,24 +123,16 @@ def _fold(
     id_ts_key = config.duplicate_key == "id_timestamp"
 
     total = 0
-    m4_bad = 0
-    m5_bad = 0
-    m6_bad = 0
-    dup_count = 0
     error_count = 0
-
+    violations: Counter = Counter()
     dup_examples: list[list] = []
-    m4_attrs: Counter[str] = Counter()
-    m5_attrs: Counter[str] = Counter()
-    m6_attrs: Counter[str] = Counter()
-
     sensor_index: dict[str, int] = {}
-    raw_counts: list[int] = []
     ts_buffers: list[array] = []
-    seen: set = set()
+    seen_keys: list[set] = []  # duplicate keys per sensor
+    dups: list[int] = []
 
-    # Under types_only checks a record's verdict depends only on its keys
-    # and value types, so it is computed once per such signature.
+    # Under types_only checks a record's violations depend only on its keys
+    # and value types, so they are judged once per such signature.
     memo: "dict[tuple, tuple] | None" = None if full_checks else {}
 
     for _index, record, _reason in iter_records(data, fmt):
@@ -160,52 +152,39 @@ def _fold(
                 sensor_id = raw_id
             else:
                 raise ValueError("sensor id must be a non-empty string or integer")
-            verdict = None
+            hits = None
             if memo is not None:
                 signature = (*record, *map(type, record.values()))
-                verdict = memo.get(signature)
-            attrs = None
-            if verdict is None or not id_ts_key:
+                hits = memo.get(signature)
+            if hits is None or not id_ts_key:
                 attrs, nested = _attributes(record, ts_field, sid_field)
         except ValueError:
             error_count += 1
             continue
 
-        if verdict is None:
-            verdict = _verdict(attrs, prepared, full_checks)
+        if hits is None:
+            hits = _hits(_flags_for(attrs, prepared, full_checks))
             # A memoised signature never holds a nested or list value.
             if memo is not None and not nested and len(memo) < _MEMO_CAP:
-                memo[signature] = verdict
-        missing, unknown, format_error, detail = verdict
+                memo[signature] = hits
         total += 1
-        if detail:
-            m4_bad += missing
-            m5_bad += unknown
-            m6_bad += format_error
-            for attribute, kind in detail:
-                if kind == "missing":
-                    m4_attrs[attribute] += 1
-                elif kind == "unknown":
-                    m5_attrs[attribute] += 1
-                elif kind in FORMAT_KINDS:
-                    m6_attrs[attribute] += 1
+        for hit in hits:
+            violations[hit] += 1
 
         sidx = sensor_index.get(sensor_id)
         if sidx is None:
             sidx = len(sensor_index)
             sensor_index[sensor_id] = sidx
-            raw_counts.append(0)
             ts_buffers.append(array("q"))
-        raw_counts[sidx] += 1
-        if id_ts_key and sidx < (1 << _PACK_BITS):
-            key: Any = (timestamp_ms << _PACK_BITS) | sidx
+            seen_keys.append(set())
+            dups.append(0)
+        if id_ts_key:
+            key: Any = timestamp_ms
         else:
-            # attrs is None only under id_timestamp, which reads no attributes.
-            key = packet_key_fields(
-                sensor_id, timestamp_ms, attrs or {}, config.duplicate_key
-            )
+            key = packet_key_fields(sensor_id, timestamp_ms, attrs)
+        seen = seen_keys[sidx]
         if key in seen:
-            dup_count += 1
+            dups[sidx] += 1
             if len(dup_examples) < EVIDENCE_CAP:
                 dup_examples.append([sensor_id, timestamp_ms])
         else:
@@ -219,20 +198,7 @@ def _fold(
         )
     if error_count:
         logger.info("ingestion skipped %d malformed records", error_count)
-    return _Tally(
-        total,
-        m4_bad,
-        m5_bad,
-        m6_bad,
-        dup_count,
-        dup_examples,
-        m4_attrs,
-        m5_attrs,
-        m6_attrs,
-        sensor_index,
-        raw_counts,
-        ts_buffers,
-    )
+    return _Tally(total, violations, dup_examples, sensor_index, ts_buffers, dups)
 
 
 def sensor_iats(
@@ -244,7 +210,7 @@ def sensor_iats(
     a sensor keeps after deduplication under config.duplicate_key. Raises
     DatasetRejectedError when more than half of the records are malformed.
     """
-    # No verdict is read here; under types_only the fold memoises them.
+    # No violation is read here; under types_only each signature is judged once.
     config = dataclasses.replace(config, format_checks="types_only")
     tally = _fold(data, _NO_SCHEMA, config, format or config.dataset_format)
     return list(zip(tally.sensor_index, _sensor_iat_arrays(tally.ts_buffers)))
@@ -265,12 +231,7 @@ def assess(
     total = tally.total
     if total == 0:
         raise DatasetRejectedError("dataset contains no valid records")
-    sensor_index = tally.sensor_index
-    raw_counts = tally.raw_counts
-    ts_buffers = tally.ts_buffers
-
-    sensors = sorted(sensor_index, key=sensor_index.get)
-    iats = _sensor_iat_arrays(ts_buffers)
+    iats = _sensor_iat_arrays(tally.ts_buffers)
 
     if config.mode_scope == "dataset":
         pooled = (
@@ -297,11 +258,12 @@ def assess(
     degenerate_sensors: list[str] = []
     per_sensor: dict[str, dict[str, Any]] = {}
 
-    for sensor_id, sensor_iats in zip(sensors, iats):
-        sidx = sensor_index[sensor_id]
+    for sensor_id, sensor_iats, unique, dups in zip(
+        tally.sensor_index, iats, tally.ts_buffers, tally.dups
+    ):
         entry: dict[str, Any] = {
-            "packet_count": raw_counts[sidx],
-            "unique_count": len(ts_buffers[sidx]),
+            "packet_count": len(unique) + dups,
+            "unique_count": len(unique),
             "iat_count": int(sensor_iats.size),
         }
         per_sensor[sensor_id] = entry
@@ -379,42 +341,34 @@ def assess(
                 },
             )
         )
+    dup_count = sum(tally.dups)
     results.append(
         MetricResult.ratio(
             "M3",
-            tally.dup_count,
+            dup_count,
             total,
             {
                 "duplicate_key": config.duplicate_key,
-                "distinct_keys": total - tally.dup_count,
+                "distinct_keys": total - dup_count,
                 "examples": tally.dup_examples,
             },
         )
     )
-    results.append(
-        MetricResult.ratio(
-            "M4",
-            tally.m4_bad,
-            total,
-            {"by_attribute": dict(sorted(tally.m4_attrs.items()))},
+    violations = tally.violations
+    for metric_id in ("M4", "M5", "M6"):
+        by_attribute = sorted(
+            (attribute, count)
+            for (metric, attribute), count in violations.items()
+            if metric == metric_id and attribute is not None
         )
-    )
-    results.append(
-        MetricResult.ratio(
-            "M5",
-            tally.m5_bad,
-            total,
-            {"by_attribute": dict(sorted(tally.m5_attrs.items()))},
+        results.append(
+            MetricResult.ratio(
+                metric_id,
+                violations[metric_id, None],
+                total,
+                {"by_attribute": dict(by_attribute)},
+            )
         )
-    )
-    results.append(
-        MetricResult.ratio(
-            "M6",
-            tally.m6_bad,
-            total,
-            {"by_attribute": dict(sorted(tally.m6_attrs.items()))},
-        )
-    )
 
     return aggregate(
         results,

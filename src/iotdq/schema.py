@@ -33,8 +33,17 @@ _TYPE_ALIASES = {
 _ATTRIBUTE_KEYWORDS = {"type", "minimum", "maximum", "pattern"}
 _TOP_KEYWORDS = {"properties", "required"}
 
+# The metric each violation kind counts against.
+METRIC_OF_KIND = {
+    "missing": "M4",
+    "unknown": "M5",
+    "type": "M6",
+    "null": "M6",
+    "range": "M6",
+    "pattern": "M6",
+}
 # Violation kinds that count against format conformity (M6).
-FORMAT_KINDS = frozenset({"type", "null", "range", "pattern"})
+FORMAT_KINDS = frozenset(k for k, m in METRIC_OF_KIND.items() if m == "M6")
 
 
 @dataclass(frozen=True)
@@ -113,55 +122,33 @@ def _flags_for(
     attributes: Mapping[str, Any],
     prepared: tuple[tuple[str, ...], dict[str, tuple]],
     full_checks: bool,
-    collect: bool,
-) -> tuple[bool, bool, bool, "tuple[tuple[str, str], ...] | None"]:
-    """One pass over a packet's attributes; the only verdict implementation.
+) -> tuple[tuple[str, str], ...]:
+    """(attribute, kind) per violation of one packet; empty when it is clean.
 
-    With collect=False no detail list is materialized, which keeps the
-    bulk-assessment path allocation-free for clean packets.
+    The only verdict implementation; METRIC_OF_KIND names each kind's metric.
     """
     mandatory, lookup = prepared
-    detail: list[tuple[str, str]] | None = [] if collect else None
-    missing = False
-    for name in mandatory:
-        if name not in attributes:
-            missing = True
-            if detail is None:
-                break
-            detail.append((name, "missing"))
-    unknown = False
-    format_error = False
+    detail = [(name, "missing") for name in mandatory if name not in attributes]
     for name, value in attributes.items():
         spec = lookup.get(name)
         if spec is None:
-            unknown = True
-            if detail is not None:
-                detail.append((name, "unknown"))
+            detail.append((name, "unknown"))
             continue
         declared, minimum, maximum, pattern = spec
         if value is None:
-            format_error = True
-            if detail is not None:
-                detail.append((name, "null"))
+            detail.append((name, "null"))
+        elif not _type_ok(value, declared):
+            detail.append((name, "type"))
+        elif not full_checks:
             continue
-        if not _type_ok(value, declared):
-            format_error = True
-            if detail is not None:
-                detail.append((name, "type"))
-            continue
-        if full_checks:
-            if declared in ("integer", "float"):
-                if (minimum is not None and value < minimum) or (
-                    maximum is not None and value > maximum
-                ):
-                    format_error = True
-                    if detail is not None:
-                        detail.append((name, "range"))
-            elif pattern is not None and pattern.search(value) is None:
-                format_error = True
-                if detail is not None:
-                    detail.append((name, "pattern"))
-    return missing, unknown, format_error, tuple(detail) if collect else None
+        elif declared in ("integer", "float"):
+            if (minimum is not None and value < minimum) or (
+                maximum is not None and value > maximum
+            ):
+                detail.append((name, "range"))
+        elif pattern is not None and pattern.search(value) is None:
+            detail.append((name, "pattern"))
+    return tuple(detail)
 
 
 def parse_schema(source: "bytes | str | Mapping[str, Any]") -> SchemaDocument:

@@ -330,8 +330,8 @@ def iat_histogram(
     iats: "Sequence[float] | np.ndarray", bin_width: float
 ) -> list[tuple[float, int]]:
     """Bin IATs to nearest multiples of bin_width; (bin, count) pairs."""
-    if not (bin_width > 0.0):
-        raise ValueError("bin_width must be positive")
+    if not 0.0 < bin_width < math.inf:
+        raise ValueError("bin_width must be positive and finite")
     arr = np.asarray(iats, dtype=np.float64)
     if arr.size == 0:
         return []

@@ -81,6 +81,7 @@ ROUTES = (
 )
 
 DEFAULT_MAX_OBJECT_BYTES = 1 << 30  # dataset size cap
+_SOCKET_TIMEOUT = 30.0  # seconds a connection may stall; enclaves poll every 0.2 s
 _TOKEN_TTL = 24 * 3600.0
 _OBJECT_ID = re.compile(r"[0-9a-f]{32}")  # secrets.token_hex(16)
 
@@ -160,16 +161,24 @@ class _Store:
             )
         return obj
 
-    def get_object(self, object_id: Any) -> "SealedObject | None":
-        """The stored object, or None for any id this store never issued."""
+    def object_meta(self, object_id: Any) -> "dict[str, Any] | None":
+        """A stored object's fields but the ciphertext, which is not read;
+        None for any id this store never issued."""
         if not _is_object_id(object_id):  # before the id names a file
             return None
         meta_path = self.objects_dir / f"{object_id}.json"
         bin_path = self.objects_dir / f"{object_id}.bin"
         if not meta_path.exists() or not bin_path.exists():
             return None
-        meta = json.loads(meta_path.read_bytes())
-        return SealedObject(ciphertext=bin_path.read_bytes(), **meta)
+        return json.loads(meta_path.read_bytes())
+
+    def get_object(self, object_id: Any) -> "SealedObject | None":
+        """The stored object, or None for any id this store never issued."""
+        meta = self.object_meta(object_id)
+        if meta is None:
+            return None
+        ciphertext = (self.objects_dir / f"{object_id}.bin").read_bytes()
+        return SealedObject(ciphertext=ciphertext, **meta)
 
     def set_attestation(self, stub: bytes) -> None:
         with self._lock:
@@ -255,6 +264,9 @@ def _match(method: str, path: str) -> tuple[_Route, list[str]]:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # A read or write stalled this long raises TimeoutError, on which
+    # handle_one_request closes the connection without an answer.
+    timeout = _SOCKET_TIMEOUT
     server: "ProxyServer"
     _unread = False  # a request body is still in the socket
 
@@ -382,11 +394,11 @@ class _Handler(BaseHTTPRequestHandler):
         keys = ("dataset_id", "schema_id", "config_id")
         doc = self._json_body(*keys)
         store = self.server.store
-        dataset, schema, config = (store.get_object(doc[key]) for key in keys)
+        dataset, schema, config = (store.object_meta(doc[key]) for key in keys)
         if dataset is None or schema is None or config is None:
             raise _Refusal(404, "referenced object not found")
         domain = doc.get("domain", "")
-        if dataset.domain != domain:
+        if dataset["domain"] != domain:
             raise _Refusal(409, "config domain does not match the dataset")
         record = store.create_assessment(*(doc[key] for key in keys), domain)
         self._send_json(201, record)
@@ -432,18 +444,23 @@ class ProxyServer(ThreadingHTTPServer):
         self.store = _Store(store_dir)
         self.max_object_bytes = max_object_bytes
         expiry = time.time() + _TOKEN_TTL
+        # Hex, so that no token starts with "-": `--token TOKEN` would take
+        # such a token for an option.
         self._tokens = {
             role: AccessToken(
-                token=secrets.token_urlsafe(24), principal=role, expiry=expiry
+                token=secrets.token_hex(24), principal=role, expiry=expiry
             )
             for role in ROLES
         }
         self._by_secret = {t.token: t for t in self._tokens.values()}
         self._thread: "threading.Thread | None" = None
         credentials = {role: t.token for role, t in self._tokens.items()}
-        (self.store.root / "credentials.json").write_bytes(
-            json.dumps(credentials, sort_keys=True).encode("utf-8")
-        )
+        # Bearer tokens, so owner-only; fchmod also narrows an existing file.
+        path = self.store.root / "credentials.json"
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        os.fchmod(fd, 0o600)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(json.dumps(credentials, sort_keys=True).encode("utf-8"))
 
     @property
     def base_url(self) -> str:

@@ -241,6 +241,14 @@ class TestHistogram:
             outputs[key] = capsys.readouterr().out.splitlines()[1:]
         assert outputs == {"id_timestamp": ["a,60,2"], "full_packet": ["a,0,1", "a,60,2"]}
 
+    @pytest.mark.parametrize("width", ["0", "-5", "inf", "-inf", "nan"])
+    def test_unusable_bin_width_exits_1(self, dataset, capsys, width) -> None:
+        argv = ["histogram", "--data", str(dataset["data"]), f"--bin-width={width}"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--bin-width must be a positive finite number" in captured.err
+
 
 class TestMisc:
     def test_code_hash_prints_hex(self, capsys) -> None:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import ndjson_bytes
 from iotdq import _kernels
-from iotdq.errors import DegenerateIatError
+from iotdq.errors import ConfigError, DegenerateIatError
 from iotdq.metrics_iat import (
     MEAN_AD_CONSTANT,
     MIN_QUANTIZATION,
@@ -401,14 +401,14 @@ class TestM3Fixtures:
         assert counts == {"id_timestamp": 2, "full_packet": 1}
 
     def test_full_packet_key_ignores_attribute_order(self) -> None:
-        a = packet_key_fields("a", 0, {"x": 1, "y": 2}, "full_packet")
-        b = packet_key_fields("a", 0, {"y": 2, "x": 1}, "full_packet")
+        a = packet_key_fields("a", 0, {"x": 1, "y": 2})
+        b = packet_key_fields("a", 0, {"y": 2, "x": 1})
         assert a == b
-        assert a != packet_key_fields("a", 0, {"x": 1, "y": 3}, "full_packet")
+        assert a != packet_key_fields("a", 0, {"x": 1, "y": 3})
 
     def test_unknown_key_mode_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            packet_key_fields("a", 0, {}, "nope")
+        with pytest.raises(ConfigError, match="duplicate_key"):
+            AssessmentConfig(duplicate_key="nope")
 
     @settings(max_examples=100, deadline=None)
     @given(

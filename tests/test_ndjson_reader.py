@@ -222,7 +222,7 @@ def _count_flags_calls(monkeypatch) -> list:
     original = iotdq.pipeline._flags_for
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("collect"))
+        calls.append(args[0])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(iotdq.pipeline, "_flags_for", counting)
@@ -233,8 +233,8 @@ def test_types_only_checks_once_per_signature(monkeypatch) -> None:
     calls = _count_flags_calls(monkeypatch)
     records = [_rec(i) for i in range(50)] + [_rec(50 + i, pm25="x") for i in range(5)]
     report = assess(ndjson_bytes(records), SCHEMA, AssessmentConfig())
-    # Clean signature: one check; flagged signature: check plus detail.
-    assert calls == [False, False, True]
+    # One check per signature: the clean one and the flagged one.
+    assert len(calls) == 2
     assert report.result("M6").numerator_count == 5
     assert report.result("M6").evidence["by_attribute"] == {"pm25": 5}
 
@@ -245,5 +245,5 @@ def test_full_checks_call_flags_for_every_record(monkeypatch) -> None:
     report = assess(
         ndjson_bytes(records), SCHEMA, AssessmentConfig(format_checks="full")
     )
-    assert calls == [False] * 51 + [True]
+    assert len(calls) == 51
     assert report.result("M6").evidence["by_attribute"] == {"pm25": 1}

@@ -271,7 +271,7 @@ class TestSensorIats:
         original = iotdq.pipeline._flags_for
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("collect"))
+            calls.append(args[0])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(iotdq.pipeline, "_flags_for", counting)
@@ -281,8 +281,8 @@ class TestSensorIats:
         config = AssessmentConfig(format_checks="full")
         [(_sid, iats)] = sensor_iats(ndjson_bytes(records), config)
         assert iats.tolist() == [60.0] * 99
-        # One signature: its flags, then its detail (pm25 is unknown).
-        assert calls == [False, True]
+        # One signature, judged once (pm25 is unknown).
+        assert calls == [{"pm25": 1.0}]
 
     def test_empty_source_has_no_sensors(self) -> None:
         assert sensor_iats(b"", AssessmentConfig()) == []
@@ -445,3 +445,22 @@ class TestReportPlumbing:
         assert m3.numerator_count == 1
         assert m3.evidence["examples"] == [["a", 0]]
         assert m3.evidence["distinct_keys"] == 2
+
+    def test_full_packet_duplicates_are_per_sensor(self) -> None:
+        # Identical payloads from two sensors at one instant are two packets.
+        payload = {"timestamp": 0, "pm25": 1.0, "temperature": 2.0}
+        records = [
+            {"sensor_id": "a", **payload},
+            {"sensor_id": "b", **payload},
+            {"sensor_id": "a", **payload},
+            {"sensor_id": "a", **payload},
+            {"sensor_id": "b", **payload, "timestamp": 60},
+        ]
+        config = AssessmentConfig(duplicate_key="full_packet")
+        report = assess(ndjson_bytes(records), SCHEMA, config)
+        assert report.result("M3").evidence["examples"] == [["a", 0], ["a", 0]]
+        counts = {
+            sid: (e["packet_count"], e["unique_count"])
+            for sid, e in report.per_sensor.items()
+        }
+        assert counts == {"a": (3, 1), "b": (2, 2)}

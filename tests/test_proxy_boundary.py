@@ -17,6 +17,7 @@ import requests
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from iotdq.workflow import proxy as proxy_module
 from iotdq.workflow.proxy import CONTENT_KINDS, PUT_SCOPES, ROLES, ProxyServer
 from iotdq.workflow.sealing import KeyPair, seal
 
@@ -139,6 +140,23 @@ class TestKeptAliveConnection:
             assert "Connection" not in response.headers
 
 
+class TestStalledBody:
+    def test_stalled_body_is_dropped_and_the_next_request_answered(
+        self, proxy, monkeypatch, capsys
+    ) -> None:
+        assert proxy_module._Handler.timeout >= 10.0  # far above the 0.2 s poll
+        monkeypatch.setattr(proxy_module._Handler, "timeout", 0.3)
+        # 2 of 10 declared bytes: the proxy hangs up without an answer.
+        assert _raw(proxy, _post_head(proxy, b"10") + b"{}") == b""
+        assert "Traceback" not in capsys.readouterr().err
+        response = requests.get(
+            f"{proxy.base_url}/assessments/ghost",
+            headers=_auth(proxy, "assessor"),
+            timeout=5,
+        )
+        assert response.status_code == 404
+
+
 class TestJsonBody:
     def test_deeply_nested_json_body_answers_400(self, tmp_path) -> None:
         server = ProxyServer(str(tmp_path / "uncapped"))
@@ -181,6 +199,30 @@ class TestUnissuedIds:
             timeout=5,
         )
         assert response.status_code == 404
+
+
+def test_assessment_request_reads_no_ciphertext(proxy, monkeypatch) -> None:
+    with requests.Session() as session:
+        doc = {
+            f"{kind}_id": _put(proxy, session, kind)
+            for kind in ("dataset", "schema", "config")
+        }
+    read: list[str] = []
+    read_bytes = Path.read_bytes
+
+    def spy(path: Path) -> bytes:
+        read.append(path.name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", spy)
+    response = requests.post(
+        f"{proxy.base_url}/assessments",
+        json=doc,
+        headers=_auth(proxy, "assessor"),
+        timeout=5,
+    )
+    assert response.status_code == 201
+    assert sorted(read) == sorted(f"{object_id}.json" for object_id in doc.values())
 
 
 _JSON = st.recursive(

@@ -14,6 +14,7 @@ from iotdq.errors import ConfigError, SchemaError
 from iotdq.model import AssessmentConfig
 from iotdq.schema import (
     FORMAT_KINDS,
+    METRIC_OF_KIND,
     AttributeSpec,
     SchemaDocument,
     _flags_for,
@@ -44,7 +45,9 @@ class Verdict(NamedTuple):
 
 
 def _judge(attributes: dict, checks: str = "types_only") -> Verdict:
-    return Verdict(*_flags_for(attributes, _schema().prepared(), checks == "full", True))
+    detail = _flags_for(attributes, _schema().prepared(), checks == "full")
+    metrics = {METRIC_OF_KIND[kind] for _name, kind in detail}
+    return Verdict("M4" in metrics, "M5" in metrics, "M6" in metrics, detail)
 
 
 class TestParseSchema:
@@ -216,14 +219,18 @@ class TestValidatePacket:
         checks=st.sampled_from(["types_only", "full"]),
     )
     def test_verdict_consistency_enforced(self, attributes: dict, checks: str) -> None:
-        # The flags agree with the detail, and collect=False gives the same flags.
+        # At most one violation per attribute, and the names of each kind
+        # are exactly those the schema implies.
         v = self._verdict(attributes, checks)
-        kinds = {kind for _name, kind in v.detail}
-        assert v.missing_mandatory == ("missing" in kinds)
-        assert v.has_unknown == ("unknown" in kinds)
-        assert v.has_format_error == bool(kinds & FORMAT_KINDS)
-        quick = _flags_for(attributes, _schema().prepared(), checks == "full", False)
-        assert quick[:3] == v[:3] and quick[3] is None
+        assert len(dict(v.detail)) == len(v.detail)
+        names = {kind: {n for n, k in v.detail if k == kind} for kind in METRIC_OF_KIND}
+        declared = set(AIR_SCHEMA["properties"])
+        present = set(attributes)
+        assert names["missing"] == set(AIR_SCHEMA["required"]) - present
+        assert names["unknown"] == present - declared
+        assert names["null"] == {n for n in present & declared if attributes[n] is None}
+        formatted = set().union(*(names[kind] for kind in FORMAT_KINDS))
+        assert formatted <= present & declared
 
     def test_attribute_spec_direct_construction_validates(self) -> None:
         with pytest.raises(SchemaError):

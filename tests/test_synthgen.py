@@ -206,5 +206,6 @@ class TestHistogram:
         assert iat_histogram([], 1.0) == []
 
     def test_bad_bin_width_rejected(self) -> None:
-        with pytest.raises(ValueError):
-            iat_histogram([1.0], 0.0)
+        for width in (0.0, -5.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                iat_histogram([1.0], width)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import secrets
+import stat
 from pathlib import Path
 
 import pytest
@@ -291,10 +293,21 @@ class TestProxyScopes:
         finally:
             server.stop()
 
+    def test_tokens_never_look_like_options(self, tmp_path, monkeypatch) -> None:
+        # Random bytes whose URL-safe base64 starts with "-".
+        monkeypatch.setattr(secrets, "token_bytes", lambda n=32: b"\xf8" * n)
+        server = ProxyServer(str(tmp_path / "store"))
+        try:
+            assert not any(server.token_for(r).startswith("-") for r in ROLES)
+        finally:
+            server.server_close()
+
     def test_credentials_file_written(self, proxy: ProxyServer) -> None:
-        credentials = json.loads((proxy.store.root / "credentials.json").read_bytes())
+        path = proxy.store.root / "credentials.json"
+        credentials = json.loads(path.read_bytes())
         assert set(credentials) == set(ROLES)
         assert credentials["assessee"] == proxy.token_for("assessee")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
 def _run_workflow(proxy: ProxyServer, data: bytes, config: AssessmentConfig):
