@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from typing import Any, Sequence
 
-from .errors import ConfigError, DatasetRejectedError, IotDqError, ReportNotReady
+from .errors import DatasetRejectedError, IotDqError, ReportNotReady
 from .model import DIMENSIONS, METRIC_IDS, AssessmentConfig
 from .pipeline import assess, sensor_iats
 from .report import serialize_report
@@ -101,8 +100,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_histogram(args: argparse.Namespace) -> int:
-    if not 0.0 < args.bin_width < math.inf:
-        raise ConfigError("--bin-width must be a positive finite number")
     config = _load_config(args.config)
     fmt = _FORMAT_SPELLINGS[args.format] if args.format else config.dataset_format
     lines = ["sensor_id,bin_seconds,count"]

@@ -16,9 +16,10 @@ only on its keys and value types, so the fold keeps its counter keys per
 such signature and builds no attribute dict for a record whose signature
 it has seen, unless the full_packet duplicate key needs one. Records
 with nested values and every record under format_checks="full" are
-judged one by one. Each sensor keeps its own set of duplicate keys: the
-timestamp under id_timestamp, the packet_key_fields digest under
-full_packet.
+judged one by one. One set holds the duplicate keys of every sensor:
+the timestamp shifted past the sensor index under id_timestamp, the
+packet_key_fields digest, which covers the sensor id, under full_packet.
+Duplicates are counted per sensor.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _fold(
     dup_examples: list[list] = []
     sensor_index: dict[str, int] = {}
     ts_buffers: list[array] = []
-    seen_keys: list[set] = []  # duplicate keys per sensor
+    seen: set = set()  # duplicate keys of every sensor
     dups: list[int] = []
 
     # Under types_only checks a record's violations depend only on its keys
@@ -176,13 +177,12 @@ def _fold(
             sidx = len(sensor_index)
             sensor_index[sensor_id] = sidx
             ts_buffers.append(array("q"))
-            seen_keys.append(set())
             dups.append(0)
         if id_ts_key:
-            key: Any = timestamp_ms
+            # One int per (instant, sensor): no dataset has 2^64 sensors.
+            key: Any = timestamp_ms << 64 | sidx
         else:
             key = packet_key_fields(sensor_id, timestamp_ms, attrs)
-        seen = seen_keys[sidx]
         if key in seen:
             dups[sidx] += 1
             if len(dup_examples) < EVIDENCE_CAP:

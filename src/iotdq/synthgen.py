@@ -18,7 +18,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import GenSpecError
+from .errors import ConfigError, GenSpecError
 from .schema import SchemaDocument, parse_schema
 
 __all__ = [
@@ -329,9 +329,11 @@ def generate(spec: GenSpec, schema: SchemaDocument) -> tuple[bytes, GroundTruth]
 def iat_histogram(
     iats: "Sequence[float] | np.ndarray", bin_width: float
 ) -> list[tuple[float, int]]:
-    """Bin IATs to nearest multiples of bin_width; (bin, count) pairs."""
+    """Bin IATs to nearest multiples of bin_width; (bin, count) pairs.
+
+    Raises ConfigError unless bin_width is positive and finite."""
     if not 0.0 < bin_width < math.inf:
-        raise ValueError("bin_width must be positive and finite")
+        raise ConfigError(f"bin width must be a positive finite number, not {bin_width}")
     arr = np.asarray(iats, dtype=np.float64)
     if arr.size == 0:
         return []

@@ -82,6 +82,7 @@ ROUTES = (
 
 DEFAULT_MAX_OBJECT_BYTES = 1 << 30  # dataset size cap
 _SOCKET_TIMEOUT = 30.0  # seconds a connection may stall; enclaves poll every 0.2 s
+_WRITE_SLICE = 1 << 16  # bytes of a response body sent under one timeout
 _TOKEN_TTL = 24 * 3600.0
 _OBJECT_ID = re.compile(r"[0-9a-f]{32}")  # secrets.token_hex(16)
 
@@ -264,8 +265,8 @@ def _match(method: str, path: str) -> tuple[_Route, list[str]]:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # A read or write stalled this long raises TimeoutError, on which
-    # handle_one_request closes the connection without an answer.
+    # A read, or a write of one body slice, stalled this long raises
+    # TimeoutError, on which handle_one_request closes the connection.
     timeout = _SOCKET_TIMEOUT
     server: "ProxyServer"
     _unread = False  # a request body is still in the socket
@@ -313,7 +314,11 @@ class _Handler(BaseHTTPRequestHandler):
             # body's bytes; sending this header also ends the connection.
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        # The socket timeout bounds each sendall, so the body goes out in
+        # slices: a client that stops reading is dropped, a slow one is not.
+        view = memoryview(body)
+        for start in range(0, len(view), _WRITE_SLICE):
+            self.wfile.write(view[start : start + _WRITE_SLICE])
 
     def _send_json(self, status: int, doc: dict) -> None:
         self._send(status, json.dumps(doc, sort_keys=True).encode("utf-8"))

@@ -247,7 +247,7 @@ class TestHistogram:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--bin-width must be a positive finite number" in captured.err
+        assert "error: bin width must be a positive finite number" in captured.err
 
 
 class TestMisc:

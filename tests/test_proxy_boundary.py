@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import socket
 import string
+import time
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,55 @@ class TestStalledBody:
             timeout=5,
         )
         assert response.status_code == 404
+
+    def test_slow_steady_reader_gets_a_large_answer_whole(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        server = ProxyServer(str(tmp_path / "large"))
+        server.start()
+        try:
+            enclave = KeyPair.generate()
+            sealed = seal(bytes(8 << 20), enclave.public_bytes)
+            response = requests.put(
+                f"{server.base_url}/objects",
+                data=sealed,
+                headers={**_auth(server, "assessee"), "X-Content-Kind": "dataset"},
+                timeout=30,
+            )
+            object_id = response.json()["object_id"]
+            timeout = 0.3
+            monkeypatch.setattr(proxy_module._Handler, "timeout", timeout)
+            host, port = server.server_address[:2]
+            request = (
+                f"GET /objects/{object_id} HTTP/1.1\r\nHost: proxy\r\n"
+                f"Authorization: Bearer {server.token_for('enclave')}\r\n\r\n"
+            ).encode()
+            received = bytearray()
+            with socket.socket() as sock:
+                # A small receive window keeps the answer from fitting in
+                # the socket buffers, so the proxy waits on the reader.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 15)
+                sock.settimeout(10)
+                sock.connect((host, port))
+                sock.sendall(request)
+                started = time.monotonic()
+                while b"\r\n\r\n" not in received:
+                    received += sock.recv(65536)
+                head, _, body = bytes(received).partition(b"\r\n\r\n")
+                received = bytearray(body)
+                while len(received) < len(sealed):
+                    chunk = sock.recv(1 << 15)
+                    if not chunk:
+                        break
+                    received += chunk
+                    time.sleep(0.005)
+                elapsed = time.monotonic() - started
+        finally:
+            server.stop()
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert bytes(received) == sealed
+        # The whole answer took far longer than any one stall may.
+        assert elapsed > 3 * timeout
 
 
 class TestJsonBody:

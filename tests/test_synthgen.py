@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from iotdq.errors import GenSpecError
+from iotdq.errors import ConfigError, GenSpecError
 from iotdq.model import AssessmentConfig
 from iotdq.pipeline import assess, sensor_iats
 from iotdq.schema import parse_schema
@@ -207,5 +207,5 @@ class TestHistogram:
 
     def test_bad_bin_width_rejected(self) -> None:
         for width in (0.0, -5.0, float("inf"), float("nan")):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigError):
                 iat_histogram([1.0], width)
