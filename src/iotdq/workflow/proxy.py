@@ -268,6 +268,9 @@ class _Handler(BaseHTTPRequestHandler):
     # A read, or a write of one body slice, stalled this long raises
     # TimeoutError, on which handle_one_request closes the connection.
     timeout = _SOCKET_TIMEOUT
+    # TCP_NODELAY: _send writes the headers and then the body, and with
+    # Nagle on the body waits for the client's delayed ACK (about 40 ms).
+    disable_nagle_algorithm = True
     server: "ProxyServer"
     _unread = False  # a request body is still in the socket
 

@@ -78,6 +78,8 @@ class KeyPair:
 
     def save(self, path: str) -> None:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        # The mode above applies only to a new file; narrow an existing one.
+        os.fchmod(fd, 0o600)
         with os.fdopen(fd, "wb") as fh:
             fh.write(self.private.private_bytes_raw())
 
@@ -129,9 +131,12 @@ def unseal(envelope: bytes, keypair: KeyPair) -> bytes:
     salt = envelope[base : base + SALT_BYTES]
     ephemeral_public = envelope[base + SALT_BYTES : _HEADER_BYTES]
     header = envelope[:_HEADER_BYTES]
-    shared = keypair.private.exchange(
-        X25519PublicKey.from_public_bytes(ephemeral_public)
-    )
+    try:
+        shared = keypair.private.exchange(
+            X25519PublicKey.from_public_bytes(ephemeral_public)
+        )
+    except ValueError as exc:  # a low-order point gives an all-zero secret
+        raise SealingError("envelope has an invalid ephemeral key") from exc
     try:
         return AESGCM(_derive(shared, salt)).decrypt(
             _GCM_NONCE, envelope[_HEADER_BYTES:], header

@@ -350,8 +350,15 @@ class TestAcceptance:
         elapsed = time.perf_counter() - started
         assert report.aggregate_score is not None
         peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        # The largest reaped child: the fold's forked workers.
+        worker_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        print(
+            f"criterion 7: {elapsed:.2f}s, peak rss {peak_kib / 1024:.0f} MiB,"
+            f" worker peak rss {worker_kib / 1024:.0f} MiB"
+        )
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
         assert peak_kib < 1.5 * 1024 * 1024, f"peak rss {peak_kib / 1024:.0f} MiB"
+        assert worker_kib < 1.5 * 1024 * 1024, f"worker rss {worker_kib / 1024:.0f} MiB"
 
     @criterion(8, "deterministic byte-identical reports")
     def test_criterion_8_determinism(self) -> None:

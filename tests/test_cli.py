@@ -13,9 +13,11 @@ from iotdq.model import AssessmentConfig
 from iotdq.pipeline import assess
 from iotdq.report import deserialize_report, serialize_report
 from iotdq.schema import parse_schema
+from iotdq.workflow import clients
 from iotdq.workflow.attestation import compute_code_hash
 from iotdq.workflow.enclave import EnclaveRunner
 from iotdq.workflow.proxy import ProxyServer
+from iotdq.workflow.sealing import KeyPair, seal
 
 
 @pytest.fixture
@@ -335,6 +337,30 @@ class TestDataBlindCommands:
             config,
         )
         assert (tmp / "report.json").read_bytes() == serialize_report(local)
+
+    def test_fetch_of_a_forged_envelope_exits_1(
+        self, tmp_path, monkeypatch, capsys
+    ) -> None:
+        keyfile = tmp_path / "reply.key"
+        self._run(capsys, "keygen", "--out", str(keyfile))
+        envelope = bytearray(seal(b"{}", KeyPair.load(str(keyfile)).public_bytes))
+        envelope[44:76] = bytes(32)  # the ephemeral key field: a low-order point
+        monkeypatch.setattr(
+            clients,
+            "assessment_status",
+            lambda *_args: {"state": "done", "report_id": "r"},
+        )
+        monkeypatch.setattr(
+            clients.ProxyClient, "get_object", lambda _self, _id: (bytes(envelope), {})
+        )
+        code = main(
+            [
+                "fetch", "--assessment-id", "a", "--proxy", "http://127.0.0.1:9",
+                "--token", "t", "--keyfile", str(keyfile),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: envelope has an invalid ephemeral key\n"
 
     def test_pinned_hash_mismatch_exits_1(self, dataset, proxy, capsys) -> None:
         EnclaveRunner(proxy.base_url, proxy.token_for("enclave")).register()

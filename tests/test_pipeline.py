@@ -8,6 +8,8 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,8 @@ import iotdq.pipeline
 from conftest import ndjson_bytes
 from iotdq.errors import DatasetRejectedError
 from iotdq.model import AssessmentConfig
-from iotdq.pipeline import assess, assess_file, sensor_iats
+from iotdq.pipeline import _cuts, assess, assess_file, sensor_iats
+from iotdq.report import serialize_report
 from iotdq.schema import parse_schema
 from iotdq.synthgen import DEFAULT_SCHEMA, GenSpec, generate
 from reference import (
@@ -243,6 +246,221 @@ class TestFoldMatchesModularComposition:
         assert reports[0].score("M3") == pytest.approx(40 / 41)
         fingerprints = {r.dataset_fingerprint for r in reports}
         assert len(fingerprints) == 3
+
+
+def _line(sensor, minute: int, **fields) -> bytes:
+    return json.dumps(_edge(sensor, _T0 + 60 * minute, **fields)).encode()
+
+
+# NDJSON lines for block cuts to land on: CRLF endings, a lone-CR ending,
+# blank lines, a line that is not UTF-8, a sensor first seen late, records
+# repeating earlier ones, and a last line without a newline.
+_BOUNDARY_LINES = [
+    *[_line("a", i) + b"\r\n" for i in range(6)],
+    b" " * 80 + b"\n",
+    b"\t" * 80 + b"\r\n",
+    _line("a", 6)[:-1] + b', "status": "\xff"}\n',
+    _line("a", 7) + b"\r" + _line("a", 8) + b"\n",
+    *[_line(9, i) + b"\n" for i in range(5)],
+    _line("a", 3, pm25=1.0) + b"\n",
+    _line("a", 2) + b"\n",
+    _line(9, 0, pm25=_DROP) + b"\n",
+    b"{broken\n",
+    _line(9, 5),
+]
+
+
+@pytest.fixture
+def cut_into(monkeypatch):
+    """Cut NDJSON of any size into one block per core for the given count,
+    and check afterwards that no worker process is left."""
+
+    def cut(cores: int) -> None:
+        monkeypatch.setattr(iotdq.pipeline, "_BLOCK_MIN_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cores)))
+
+    yield cut
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedScan:
+    """NDJSON scanned in blocks by forked workers scores exactly as in one
+    block, and as the reference scorer does."""
+
+    @pytest.mark.parametrize("duplicate_key,format_checks,mode_scope", _COMBINATIONS)
+    def test_every_config_combination(
+        self, cut_into, duplicate_key: str, format_checks: str, mode_scope: str
+    ) -> None:
+        config = AssessmentConfig(
+            quantization_seconds=60.0,
+            duplicate_key=duplicate_key,
+            format_checks=format_checks,
+            mode_scope=mode_scope,
+        )
+        sources = [_defect_dataset(seed) for seed in range(2)]
+        sources.append(b"".join(_BOUNDARY_LINES))
+        for data in sources:
+            cut_into(1)
+            one_block = serialize_report(assess(data, EDGE_SCHEMA, config))
+            want = reference_scores(data, EDGE_SCHEMA, config, "ndjson")
+            for cores in (2, 3, len(_BOUNDARY_LINES)):
+                cut_into(cores)
+                assert len(_cuts(data, "ndjson")) > 1
+                report = assess(data, EDGE_SCHEMA, config)
+                assert serialize_report(report) == one_block
+                assert_scores_match(report, want)
+
+    def test_cuts_fall_after_newlines(self, cut_into) -> None:
+        data = b"".join(_BOUNDARY_LINES)
+        cut_into(len(_BOUNDARY_LINES))
+        cuts = _cuts(data, "ndjson")
+        assert [start for start, _ in cuts[1:]] == [stop for _, stop in cuts[:-1]]
+        assert (cuts[0][0], cuts[-1][1]) == (0, len(data))
+        blocks = [data[start:stop] for start, stop in cuts]
+        assert all(block.endswith(b"\n") for block in blocks[:-1])
+        assert blocks[-1] == _BOUNDARY_LINES[-1]
+        assert any(block.endswith(b"\r\n") for block in blocks)
+        assert any(not block.strip() for block in blocks)
+        assert any(b"\xff" in block for block in blocks[1:])
+        # Sensor 9 appears first in a later block, after sensor "a".
+        first_with_9 = next(i for i, b in enumerate(blocks) if b'"sensor_id": 9' in b)
+        assert first_with_9 > 0 and b'"sensor_id": "a"' not in blocks[first_with_9]
+
+    def test_duplicates_across_blocks(self, cut_into) -> None:
+        data = b"".join(_BOUNDARY_LINES)
+        cut_into(len(_BOUNDARY_LINES))
+        for duplicate_key, examples in (
+            # In record order of the repeats, not of the records they repeat.
+            ("id_timestamp", [["a", (_T0 + 180) * 1000], ["a", (_T0 + 120) * 1000],
+                              ["9", _T0 * 1000]]),
+            ("full_packet", [["a", (_T0 + 120) * 1000]]),
+        ):
+            report = assess(data, EDGE_SCHEMA, AssessmentConfig(duplicate_key=duplicate_key))
+            assert report.result("M3").evidence["examples"] == examples
+            assert list(report.per_sensor) == ["a", "9"]
+
+    def test_sensor_iats_match_one_block(self, cut_into) -> None:
+        data = _defect_dataset(3)
+        config = AssessmentConfig(duplicate_key="full_packet")
+        cut_into(3)
+        got = sensor_iats(data, config)
+        cut_into(1)
+        want = sensor_iats(data, config)
+        assert [sid for sid, _ in got] == [sid for sid, _ in want]
+        for (_sid, a), (_same, b) in zip(got, want):
+            assert a.tolist() == b.tolist()
+
+    def test_fewer_lines_than_cores(self, cut_into) -> None:
+        data = _line("a", 0) + b"\n" + _line("a", 1) + b"\n"
+        cut_into(8)
+        assert len(_cuts(data, "ndjson")) == 2
+        report = assess(data, SCHEMA, AssessmentConfig())
+        assert report.per_sensor["a"]["iat_count"] == 1
+
+    def test_rejection_counts_the_whole_source(self, cut_into) -> None:
+        good = [_line("a", i) + b"\n" for i in range(4)]
+        bad = [b"{x" + b" " * 60 + b"\n"] * 4
+        cut_into(8)
+        # Each malformed line is a block of its own, rejected alone.
+        half = b"".join(bad + good)
+        assert len(_cuts(half, "ndjson")) > 4
+        assert assess(half, SCHEMA, AssessmentConfig()).result("M3").denominator_count == 4
+        with pytest.raises(DatasetRejectedError, match="5 of 9"):
+            assess(half + bad[0], SCHEMA, AssessmentConfig())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_replaced_scan_calls_keep_the_scan_in_this_process(
+        self, cut_into, monkeypatch
+    ) -> None:
+        forks: list[int] = []
+        scan_blocks = iotdq.pipeline._scan_blocks
+
+        def counting(*args):
+            forks.append(len(args[1]))
+            return scan_blocks(*args)
+
+        monkeypatch.setattr(iotdq.pipeline, "_scan_blocks", counting)
+        data = _defect_dataset(1)
+        cut_into(3)
+        config = AssessmentConfig(format_checks="full")
+        valid = assess(data, EDGE_SCHEMA, config).result("M4").denominator_count
+        assert forks == [3]
+        flags_for = iotdq.pipeline._flags_for
+        calls: list = []
+        monkeypatch.setattr(
+            iotdq.pipeline,
+            "_flags_for",
+            lambda *args: calls.append(args[0]) or flags_for(*args),
+        )
+        assess(data, EDGE_SCHEMA, config)
+        assert forks == [3]
+        # Every valid record was judged where the wrapper counts.
+        assert len(calls) == valid
+
+    def test_worker_exception_is_raised(self, cut_into, monkeypatch) -> None:
+        parent = os.getpid()
+        scan = iotdq.pipeline._scan
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("worker failed")
+            return scan(*args)
+
+        monkeypatch.setattr(iotdq.pipeline, "_scan", failing)
+        cut_into(3)
+        with pytest.raises(ZeroDivisionError, match="worker failed"):
+            assess(_defect_dataset(0), EDGE_SCHEMA, AssessmentConfig())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_ending_without_a_result(self, cut_into, monkeypatch) -> None:
+        parent = os.getpid()
+        scan = iotdq.pipeline._scan
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return scan(*args)
+
+        monkeypatch.setattr(iotdq.pipeline, "_scan", dying)
+        cut_into(2)
+        with pytest.raises(RuntimeError, match="exit 3"):
+            assess(_defect_dataset(0), EDGE_SCHEMA, AssessmentConfig())
+
+    def test_failed_fork_stops_the_started_workers(self, cut_into, monkeypatch) -> None:
+        fork = os.fork
+        forks: list[int] = []
+
+        def fork_once() -> int:
+            if forks:
+                raise BlockingIOError("fork refused")
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        cut_into(3)
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            assess(_defect_dataset(0), EDGE_SCHEMA, AssessmentConfig())
+        assert forks == [1]
+
+    def test_failure_here_stops_the_workers(self, cut_into, monkeypatch) -> None:
+        parent = os.getpid()
+
+        def stalled_or_failing(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise ZeroDivisionError("parent block failed")
+
+        monkeypatch.setattr(iotdq.pipeline, "_scan", stalled_or_failing)
+        cut_into(3)
+        started = time.monotonic()
+        with pytest.raises(ZeroDivisionError, match="parent block failed"):
+            assess(_defect_dataset(0), EDGE_SCHEMA, AssessmentConfig())
+        assert time.monotonic() - started < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSensorIats:

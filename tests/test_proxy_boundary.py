@@ -275,6 +275,25 @@ def test_assessment_request_reads_no_ciphertext(proxy, monkeypatch) -> None:
     assert sorted(read) == sorted(f"{object_id}.json" for object_id in doc.values())
 
 
+def test_accepted_connections_send_without_nagle_delay(proxy, monkeypatch) -> None:
+    nodelay: list[int] = []
+    setup = proxy_module._Handler.setup
+
+    def spy(handler: proxy_module._Handler) -> None:
+        setup(handler)
+        option = handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        nodelay.append(option)
+
+    monkeypatch.setattr(proxy_module._Handler, "setup", spy)
+    response = requests.get(
+        f"{proxy.base_url}/assessments/ghost",
+        headers=_auth(proxy, "assessor"),
+        timeout=5,
+    )
+    assert response.status_code == 404
+    assert nodelay and all(nodelay)
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)

@@ -103,6 +103,13 @@ class TestSealing:
         with pytest.raises(SealingError):
             unseal(bytes(envelope), recipient)
 
+    def test_low_order_ephemeral_key_rejected(self) -> None:
+        recipient = KeyPair.generate()
+        envelope = bytearray(seal(b"secret", recipient.public_bytes))
+        envelope[44:76] = bytes(32)  # the ephemeral key field: a low-order point
+        with pytest.raises(SealingError, match="ephemeral"):
+            unseal(bytes(envelope), recipient)
+
     def test_truncated_envelope_rejected(self) -> None:
         recipient = KeyPair.generate()
         envelope = seal(b"secret", recipient.public_bytes)
@@ -137,6 +144,13 @@ class TestSealing:
         assert loaded.public_bytes == keypair.public_bytes
         envelope = seal(b"x", keypair.public_bytes)
         assert unseal(envelope, loaded) == b"x"
+
+    def test_keyfile_save_narrows_an_existing_file(self, tmp_path: Path) -> None:
+        path = tmp_path / "private.key"
+        path.write_bytes(b"old")
+        path.chmod(0o644)
+        KeyPair.generate().save(str(path))
+        assert path.stat().st_mode & 0o777 == 0o600
 
 
 class TestAttestation:
