@@ -1,5 +1,11 @@
 """Dataset ingestion: NDJSON, CSV, and JSON-array sources to records.
 
+NDJSON lines are decoded with orjson, one line's bytes at a time; a line
+orjson cannot be trusted with is read by the standard library's scanner
+and, failing that, by json.loads, so every record and every
+malformed-record reason is what json.loads gives on that line. CSV and
+JSON arrays are read with the standard library.
+
 Timestamps are normalized to integer epoch milliseconds. Numeric values
 below 1e11 are read as epoch seconds (fractions allowed), larger ones as
 epoch milliseconds; strings are parsed as RFC 3339 / ISO 8601, naive
@@ -24,8 +30,19 @@ _EPOCH_MS_FLOOR = 1e11  # numeric timestamps at or above this are milliseconds
 _EPOCH_MS_FLOOR_INT = int(_EPOCH_MS_FLOOR)
 _EXACT_INT = 1 << 53  # integers below this magnitude are exact as floats
 _INT64 = 1 << 63  # timestamps are kept as int64 milliseconds
-_BLOCK_BYTES = 4 << 20  # NDJSON decode unit; each block ends after a newline
-_BLANK = " \t\n\r\x0b\x0c"  # the whitespace bytes.strip() removes
+_BLOCK_BYTES = 4 << 20  # NDJSON masking unit; each block ends after a newline
+# Valid JSON nested d deep takes at least 2d bytes, so a shorter line stays
+# far below the depth at which json.loads raises RecursionError. orjson 3.8
+# decodes a closed line 100,000 deep that json.loads refuses, and crashes
+# the interpreter on one 1,000,000 deep.
+_TRUSTED_LINE_BYTES = 1024
+# orjson turns an integer below -2**63 or from 2**64 on into a float. Such a
+# literal is "-" and 19 digits, or 20 digits, and in valid JSON it follows
+# ":", "," or "[" and perhaps spaces or tabs. The mask maps digits and "-"
+# to b"0" and those bytes to b":", so the literal shows as _DIGIT_RUN while
+# digits just after a quote, inside a string, do not.
+_NUMBER_MASK = bytes.maketrans(b"-123456789:,[ \t", b"0" * 10 + b":" * 5)
+_DIGIT_RUN = b":" + b"0" * 20
 _scan_once = json.JSONDecoder().scan_once
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -102,15 +119,27 @@ def _ndjson_line(line: bytes) -> tuple["dict | None", "str | None"]:
 def _iter_ndjson(
     source: bytes, block_bytes: int = _BLOCK_BYTES
 ) -> Iterator[tuple[int, "dict | None", "str | None"]]:
-    """NDJSON records as (index, record, reason), decoded block by block.
+    """NDJSON records as (index, record, reason), each line decoded by orjson.
 
-    Lines split as bytes.splitlines() does (on \\n, \\r and \\r\\n only).
-    Each block is decoded once and its lines are scanned directly; a line
-    the scanner does not consume whole (whitespace, a BOM, another
-    encoding, bad JSON) and every line of a block that is not UTF-8 goes
-    through _ndjson_line, so results and error reasons are those of
-    json.loads on the line's bytes.
+    Lines split as bytes.splitlines() does (on \\n, \\r and \\r\\n only);
+    blank lines are skipped. A line that is _TRUSTED_LINE_BYTES or longer,
+    or whose _NUMBER_MASK holds _DIGIT_RUN, is decoded from UTF-8 and read
+    by the standard library's scanner instead of orjson. A line neither
+    reader turns whole into a dict (one orjson raises on, whitespace orjson
+    rejects, a BOM, another encoding, invalid UTF-8, NaN, bad JSON) goes to
+    _ndjson_line. So results and error reasons are those of json.loads on
+    the line's bytes. The source is walked in blocks of about block_bytes,
+    cut after newlines. A block is masked whole, and its lines under
+    _TRUSTED_LINE_BYTES one by one only when that mask holds _DIGIT_RUN;
+    a block whose lines average _TRUSTED_LINE_BYTES or more, which skip
+    orjson anyway, is not masked whole, only its shorter lines one by one.
     """
+    # Imported here: a fresh process takes about 10 ms to load orjson (with
+    # uuid, zoneinfo and sysconfig), which only NDJSON reading needs.
+    import orjson
+
+    loads = orjson.loads
+    decode_error = orjson.JSONDecodeError
     scan = _scan_once
     index = 0
     start = 0
@@ -119,27 +148,34 @@ def _iter_ndjson(
         cut = source.find(b"\n", start + block_bytes - 1) + 1 or size
         block = source[start:cut]
         start = cut
-        try:
-            text = block.decode("utf-8", "surrogatepass")
-        except UnicodeDecodeError:
-            for raw in block.splitlines():
-                if raw.strip():
-                    yield (index, *_ndjson_line(raw))
-                    index += 1
-            continue
-        # "\r\n" becomes an empty line, which is skipped like any blank one.
-        for line in text.replace("\r", "\n").split("\n"):
-            if not line.strip(_BLANK):
-                continue
-            try:
-                record, end = scan(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
-            if end == len(line) and type(record) is dict:
-                yield index, record, None
+        lines = block.splitlines()
+        mask_lines = (
+            len(lines) * _TRUSTED_LINE_BYTES <= len(block)
+            or _DIGIT_RUN in block.translate(_NUMBER_MASK)
+        )
+        for line in lines:
+            if len(line) < _TRUSTED_LINE_BYTES and not (
+                mask_lines and _DIGIT_RUN in line.translate(_NUMBER_MASK)
+            ):
+                try:
+                    record = loads(line)
+                except decode_error:
+                    record = None
             else:
-                yield (index, *_ndjson_line(line.encode("utf-8", "surrogatepass")))
-            index += 1
+                try:
+                    text = line.decode("utf-8", "surrogatepass")
+                    record, end = scan(text, 0)
+                    if end != len(text):
+                        record = None
+                except (StopIteration, ValueError, RecursionError):
+                    record = None
+            if type(record) is dict:
+                yield index, record, None
+                index += 1
+            elif line.strip():
+                yield (index, *_ndjson_line(line))
+                index += 1
+        del lines  # not held beside the next block's
 
 
 def iter_records(

@@ -296,7 +296,7 @@ class AssessmentConfig:
     def from_json(cls, data: "bytes | str") -> "AssessmentConfig":
         try:
             doc = json.loads(data)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")

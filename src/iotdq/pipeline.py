@@ -13,21 +13,22 @@ per-record normalisation and schema flags, and per-record key columns
 (the timestamp, the sensor index and, under the full_packet duplicate
 key, the packet_key_fields digest, which covers the sensor id). _merge
 joins the blocks' scans in block order and deduplicates once: a stable
-sort by (sensor, timestamp[, digest]) keeps the first occurrence in
-record order and yields each sensor's sorted timestamps. A large NDJSON
-source is cut at newlines into one block per usable core, and every
-block but the first is scanned in a forked worker process; any other
-source is one block.
+sort by (sensor, timestamp) keeps the first occurrence in record order
+and yields each sensor's sorted timestamps; under full_packet the rows
+of each run of equal (sensor, timestamp) are then sorted by digest. A
+large NDJSON source is cut at newlines into one block per usable core,
+and every block but the first is scanned in a forked worker process;
+any other source is one block.
 
-Records arrive from ingest.iter_records, which decodes NDJSON in blocks
-of a few MiB rather than line by line. M4-M6 come from one Counter of
-(metric, None) per violating record and (metric, attribute) per
-violation. Under format_checks="types_only" a record's violations depend
-only on its keys and value types, so the scan keeps its counter keys per
-such signature and builds no attribute dict for a record whose signature
-it has seen, unless the full_packet duplicate key needs one. Records
-with nested values and every record under format_checks="full" are
-judged one by one.
+Records arrive from ingest.iter_records, which decodes NDJSON lines with
+orjson (the C scanner or json.loads where orjson cannot be trusted).
+M4-M6 come from one Counter of (metric, None) per violating record and
+(metric, attribute) per violation. Under format_checks="types_only" a
+record's violations depend only on its keys and value types, so the
+scan keeps its counter keys per such signature and builds no attribute
+dict for a record whose signature it has seen, unless the full_packet
+duplicate key needs one. Records with nested values and every record
+under format_checks="full" are judged one by one.
 """
 
 from __future__ import annotations
@@ -323,24 +324,33 @@ def _merge(scans: list[_Scan], config: AssessmentConfig) -> _Tally:
     sensors = np.concatenate(sensor_parts)
     ts = np.concatenate([np.frombuffer(scan.ts_col, dtype=np.int64) for scan in scans])
 
-    # A stable sort by (sensor, timestamp[, digest]) keeps equal keys in
-    # record order, so the first of each run of equal keys is kept.
-    keys = [ts, sensors]
-    if config.duplicate_key == "full_packet":
-        # The digest covers the sensor id and the timestamp.
-        digests = np.frombuffer(b"".join(scan.digests for scan in scans), np.uint64)
-        keys[:0] = [digests[1::2], digests[0::2]]
-    order = np.lexsort(keys)
-    repeat = np.ones(max(order.size - 1, 0), dtype=bool)
-    for key in keys:
-        ordered = key[order]
-        repeat &= ordered[1:] == ordered[:-1]
+    # A stable sort by (sensor, timestamp) keeps equal keys in record order,
+    # so the first of each run of equal keys is kept.
+    order = np.lexsort((ts, sensors))
+    by_sensor = sensors[order]
+    by_ts = ts[order]
+    repeat = (by_sensor[1:] == by_sensor[:-1]) & (by_ts[1:] == by_ts[:-1])
+    if config.duplicate_key == "full_packet" and repeat.any():
+        # The digest covers the sensor id and the timestamp, so equal digests
+        # lie in one run of equal (sensor, timestamp): only the rows of such
+        # runs are sorted by digest, stably and within their run.
+        digests = np.frombuffer(
+            b"".join(scan.digests for scan in scans), np.uint64
+        ).reshape(-1, 2)
+        tied = np.flatnonzero(
+            np.concatenate(([False], repeat)) | np.concatenate((repeat, [False]))
+        )
+        run = np.cumsum(np.concatenate(([True], ~repeat)))[tied]
+        rows = order[tied]
+        d = digests[rows]
+        order[tied] = rows[np.lexsort((d[:, 1], d[:, 0], run))]
+        pairs = np.flatnonzero(repeat)
+        repeat[pairs] = (digests[order[pairs]] == digests[order[pairs + 1]]).all(1)
     first = np.concatenate(([True], ~repeat))[: order.size]
 
     sensor_ids = list(sensor_index)
-    by_sensor = sensors[order]
     ends = np.cumsum(np.bincount(by_sensor[first], minlength=len(sensor_ids)))
-    ts_buffers = np.split(ts[order][first], ends[:-1]) if sensor_ids else []
+    ts_buffers = np.split(by_ts[first], ends[:-1]) if sensor_ids else []
     dups = np.bincount(by_sensor[~first], minlength=len(sensor_ids)).tolist()
     dup_examples = [
         [sensor_ids[sensors[i]], int(ts[i])]

@@ -156,7 +156,7 @@ def parse_schema(source: "bytes | str | Mapping[str, Any]") -> SchemaDocument:
     if isinstance(source, (bytes, bytearray, str)):
         try:
             doc = json.loads(source)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"schema is not valid JSON: {exc}") from exc
     else:
         doc = source

@@ -56,5 +56,5 @@ class AttestationStub:
                 code_hash=doc["code_hash"],
                 enclave_public_key=base64.b64decode(doc["enclave_public_key"]),
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise AttestationError(f"malformed attestation stub: {exc}") from exc

@@ -1,18 +1,26 @@
-"""Block-decoded NDJSON reader and per-signature schema verdicts.
+"""orjson NDJSON reader and per-signature schema verdicts.
 
-The reader must yield exactly what the per-line reader it replaced
-yielded (kept below as _oracle), error reasons included. The fold's
-verdict memo must give the verdicts of _flags_for on every record.
+The reader must yield exactly what a per-line json.loads reader yields
+(kept below as _oracle), error reasons included, and no line may crash
+the interpreter. The fold's verdict memo must give the verdicts of
+_flags_for on every record.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iotdq
 import iotdq.pipeline
 from conftest import ndjson_bytes
 from iotdq.errors import IngestFormatError
@@ -52,6 +60,35 @@ def _assert_same_as_oracle(source: bytes, block_bytes: int) -> None:
 
 
 _OK = b'{"sensor_id":"a","timestamp":60}'
+# Past the int64/uint64 edges orjson 3.8 returns a float where json keeps the int.
+_EDGE_INTS = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64]
+_LONG_NOTE = b',"note":"' + b"calibrated " * 100 + b'"}'
+
+
+def _split_mantissa(x: float, digits: int, offset: int) -> bytes:
+    """The halfway point between x and the next double, to digits significant
+    digits in positional notation, moved offset units in its last digit."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+        unit = Decimal(10) ** (mid.adjusted() - digits + 1)
+        return format(mid.quantize(unit) + offset * unit, "f").encode()
+
+
+_HALFWAY = [
+    _split_mantissa(x, digits, offset)
+    for x in (0.1, 1.0, 2.5, math.pi, 123456.789, 2.0**53, 1e15 / 7, 4e19 / 3)
+    for digits in (20, 34, 40)
+    for offset in (-1, 0, 1)
+]
+
+
+def _nested_line(size: int) -> bytes:
+    """A valid record line of size bytes, nested as deep as that allows."""
+    depth = (size - 6) // 2
+    line = b'{"a":' + b"[" * depth + b"]" * depth + b"}"
+    return line + b" " * (size - len(line))
+
 
 NAMED = {
     "crlf": _OK + b"\r\n" + _OK + b"\r\n",
@@ -79,6 +116,35 @@ NAMED = {
     "no_trailing_newline": _OK + b"\n" + _OK,
     "empty": b"",
     "only_newlines": b"\n\n\r\n\r",
+    "int64_uint64_edges": b"".join(b'{"n":%d}\n' % n for n in _EDGE_INTS),
+    "digit_run_in_string": b'{"s":"' + b"1234567890" * 3 + b'"}\n' + _OK,
+    "float_out_of_range": b'{"t":1e400}\n{"t":-1e400}\n',
+    "line_1023_bytes": _nested_line(1023) + b"\n" + _OK,
+    "line_1024_bytes": _nested_line(1024) + b"\n" + _OK,
+    "utf8_line_in_non_utf8_block": b'{"s":"caf\xe9"}\n'
+    + '{"s":"caf\u00e9 \u2603"}\n'.encode()
+    + _OK,
+    "edge_ints_after_separators": b"".join(
+        b'{"a": %d}\n{"b":[1,\t%d ]}\n{"c":[%d]}\n' % (n, n, n) for n in _EDGE_INTS
+    ),
+    "nanosecond_timestamp": b'{"sensor_id":"a","timestamp":1767225600123456789}\n',
+    "split_mantissas": b"".join(b'{"v":%s}\n' % lit for lit in _HALFWAY),
+    "guarded_lines_not_whole": b"\n".join(
+        head + tail
+        for head in (_OK[:-1] + _LONG_NOTE, b'{"n":%d}' % 2**64)
+        for tail in (b"", b" ", b"\x00", b"]", b",1")
+    )
+    + b"\n "
+    + _OK[:-1] + _LONG_NOTE
+    + b"\n\xef\xbb\xbf"
+    + _OK[:-1] + _LONG_NOTE
+    + b'\n{"s":"\xed\xa0\x80","n":%d}' % 2**64
+    + b'\n{"s":"\xff"' + _LONG_NOTE
+    + b"\n[" + _OK + b"," + b"1" * 1200 + b"]\n",
+    # Lines averaging over 1024 bytes, so the block is not masked whole.
+    "long_lines_around_a_masked_line": b"\n".join(
+        [_OK[:-1] + _LONG_NOTE * 3] * 2 + [b'{"n":%d}' % (-(2**63) - 1), _OK]
+    ),
 }
 
 
@@ -113,6 +179,53 @@ def test_too_deeply_nested_line_is_a_malformed_record(block_bytes: int) -> None:
     ]
 
 
+_CLOSED_DEEP_SCRIPT = """
+import json, sys
+from iotdq.ingest import iter_records
+from iotdq.model import AssessmentConfig
+from iotdq.pipeline import assess
+from iotdq.schema import parse_schema
+from iotdq.synthgen import DEFAULT_SCHEMA
+
+source = open(sys.argv[1], "rb").read()
+lines = [[i, r is None, e] for i, r, e in iter_records(source, "ndjson")]
+report = assess(source, parse_schema(DEFAULT_SCHEMA), AssessmentConfig())
+print(json.dumps([lines, report.result("M3").denominator_count]))
+"""
+
+
+@pytest.mark.parametrize("depth", [100_000, 1_000_000])
+def test_closed_too_deeply_nested_line_is_a_malformed_record(
+    tmp_path, depth: int
+) -> None:
+    # Valid JSON far past json's recursion limit. orjson 3.8.3 decodes the
+    # first depth to a dict and crashes the interpreter on the second; the
+    # child process keeps a crash from taking pytest down with it.
+    closed = b'{"a":' + b"[" * depth + b"]" * depth + b"}"
+    records = [_rec(i) for i in range(5)]
+    source = tmp_path / "deep.ndjson"
+    source.write_bytes(
+        ndjson_bytes(records[:2]) + closed + b"\n" + ndjson_bytes(records[2:])
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _CLOSED_DEEP_SCRIPT, str(source)],
+        capture_output=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(iotdq.__file__).parents[1])},
+    )
+    assert child.returncode == 0, child.stderr.decode(errors="replace")
+    lines, m3_denominator = json.loads(child.stdout)
+    assert lines == [
+        [0, False, None],
+        [1, False, None],
+        [2, True, "invalid JSON: nesting too deep"],
+        [3, False, None],
+        [4, False, None],
+        [5, False, None],
+    ]
+    assert m3_denominator == 5
+
+
 def test_too_deeply_nested_line_in_a_non_utf8_block() -> None:
     source = b'{"s":"\xff"}\n' + _DEEP + b"\n"
     reasons = [e for _i, _r, e in _iter_ndjson(source)]
@@ -138,6 +251,11 @@ _TOKENS = [
     "\u2028".encode(), b"\x1c", b"{", b"}", b"[", b"]", b",", b":", b'"',
     b"\\", b"\\u", b"d800", b"1", b"-", b".5", b"e3", b"NaN", b"null",
     b'"a"', b'{"a":', b'"},{"', b"}\n{", _OK,
+    # Past the reader's two guards: long lines, and integers of 20 digits or
+    # of "-" and 19 digits.
+    b"]" * 8, b"]" * 600, _nested_line(1100), b"9" * 19, b"1" * 20, b"1" * 25,
+    b"18446744073709551616", b"-9223372036854775809", b"0.1234567890123456789",
+    b"12345678901234567.12345678901234567", _LONG_NOTE,
 ]
 
 _values = st.recursive(
@@ -163,6 +281,25 @@ _soup = st.lists(
 @settings(max_examples=400, deadline=None)
 def test_byte_soup_matches_oracle(source: bytes, block_bytes: int) -> None:
     _assert_same_as_oracle(source, block_bytes)
+
+
+@given(
+    halfway=st.lists(
+        st.tuples(
+            st.floats(min_value=1e-4, max_value=1e21),
+            st.integers(min_value=20, max_value=40),
+            st.integers(min_value=-1, max_value=1),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_split_mantissas_match_oracle(halfway) -> None:
+    # Long significands split by the point, at and beside halfway points:
+    # where a fast float parser would be likeliest to round otherwise.
+    source = b"".join(b'{"v":%s}\n' % _split_mantissa(*h) for h in halfway)
+    _assert_same_as_oracle(source, 1 << 22)
 
 
 # -- per-signature verdict memo -------------------------------------------
