@@ -116,6 +116,28 @@ def _ndjson_line(line: bytes) -> tuple["dict | None", "str | None"]:
     return None, "record is not a JSON object"
 
 
+def _lines_holding_digit_run(masked: bytes, count: int, at: int) -> Iterator[bool]:
+    """Whether each of the count lines of masked, split as bytes.splitlines()
+    splits them, holds _DIGIT_RUN, whose first match is at offset at.
+
+    The mask leaves \r and \n alone, so these are the lines of the block
+    it masks; each match's line is found by counting line breaks, and no
+    line is split out or masked again.
+    """
+    guarded = [False] * count
+    crlf = b"\r" in masked
+    line = start = 0
+    while at >= 0:
+        # A match starts with b":", so no \r\n pair straddles start or at.
+        line += masked.count(b"\n", start, at)
+        if crlf:
+            line += masked.count(b"\r", start, at) - masked.count(b"\r\n", start, at)
+        guarded[line] = True
+        start = at
+        at = masked.find(_DIGIT_RUN, at + 1)
+    return iter(guarded)
+
+
 def _iter_ndjson(
     source: bytes, block_bytes: int = _BLOCK_BYTES
 ) -> Iterator[tuple[int, "dict | None", "str | None"]]:
@@ -129,10 +151,11 @@ def _iter_ndjson(
     rejects, a BOM, another encoding, invalid UTF-8, NaN, bad JSON) goes to
     _ndjson_line. So results and error reasons are those of json.loads on
     the line's bytes. The source is walked in blocks of about block_bytes,
-    cut after newlines. A block is masked whole, and its lines under
-    _TRUSTED_LINE_BYTES one by one only when that mask holds _DIGIT_RUN;
-    a block whose lines average _TRUSTED_LINE_BYTES or more, which skip
-    orjson anyway, is not masked whole, only its shorter lines one by one.
+    cut after newlines. A block is masked whole, and the lines holding its
+    matches of _DIGIT_RUN are found in that mask, so no line is masked
+    twice; a block whose lines average _TRUSTED_LINE_BYTES or more, which
+    skip orjson anyway, is not masked whole, only its shorter lines one by
+    one.
     """
     # Imported here: a fresh process takes about 10 ms to load orjson (with
     # uuid, zoneinfo and sysconfig), which only NDJSON reading needs.
@@ -149,14 +172,21 @@ def _iter_ndjson(
         block = source[start:cut]
         start = cut
         lines = block.splitlines()
-        mask_lines = (
-            len(lines) * _TRUSTED_LINE_BYTES <= len(block)
-            or _DIGIT_RUN in block.translate(_NUMBER_MASK)
-        )
+        guarded: "Iterator[bool] | None" = None  # per line: skips orjson
+        if len(lines) * _TRUSTED_LINE_BYTES > len(block):
+            masked = block.translate(_NUMBER_MASK)
+            at = masked.find(_DIGIT_RUN)
+            if at >= 0:
+                guarded = _lines_holding_digit_run(masked, len(lines), at)
+            del masked
+        else:
+            guarded = (
+                len(line) < _TRUSTED_LINE_BYTES
+                and _DIGIT_RUN in line.translate(_NUMBER_MASK)
+                for line in lines
+            )
         for line in lines:
-            if len(line) < _TRUSTED_LINE_BYTES and not (
-                mask_lines and _DIGIT_RUN in line.translate(_NUMBER_MASK)
-            ):
+            if not (guarded and next(guarded)) and len(line) < _TRUSTED_LINE_BYTES:
                 try:
                     record = loads(line)
                 except decode_error:

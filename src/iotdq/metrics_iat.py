@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -33,6 +34,9 @@ MOD_Z_CONSTANT = 0.6745
 MEAN_AD_CONSTANT = 0.7979
 MIN_QUANTIZATION = 0.001
 EVIDENCE_CAP = 50
+# Imported by the first packet_key_fields call: a fresh process takes about
+# 10 ms to load orjson, which import iotdq need not pay.
+_orjson: Any = None
 
 
 def quantize(values: "Sequence[float] | np.ndarray", quantization: float) -> np.ndarray:
@@ -120,13 +124,74 @@ def m1_from_sums(
     )
 
 
+def _json_text(packet: dict[str, Any]) -> str:
+    return json.dumps(packet, sort_keys=True, separators=(",", ":"))
+
+
+def _null_is_ambiguous(attributes: Mapping[str, Any]) -> bool:
+    """Whether a null in orjson's bytes of these attributes may stand for
+    NaN or an infinity, which orjson writes as it writes None: whether a
+    value is a non-finite float or a container."""
+    for value in attributes.values():
+        if type(value) is float:
+            if not math.isfinite(value):
+                return True
+        elif isinstance(value, (dict, list, tuple)):
+            return True
+    return False
+
+
+def _json_canon(packet: dict[str, Any]) -> bytes:
+    """packet's canonical bytes where orjson.dumps raises on it: b"j" and
+    its json.dumps text.
+
+    json.dumps writes a str holding a surrogate pair as it writes the
+    character the pair encodes, and orjson raises on the first form only.
+    So a text with a surrogate escape is read back first: when that gives
+    a packet with the same text whose orjson bytes follow it, those bytes
+    stand for the text, as they do for every packet of that text that
+    orjson takes.
+    """
+    text = _json_text(packet)
+    if "\\ud" in text:
+        plain = json.loads(text)
+        if _json_text(plain) == text:
+            try:
+                canon = _orjson.dumps(plain, option=_orjson.OPT_SORT_KEYS)
+            except _orjson.JSONEncodeError:
+                pass
+            else:
+                if b"null" not in canon or not _null_is_ambiguous(plain["a"]):
+                    return b"o" + canon
+    return b"j" + text.encode("utf-8")
+
+
 def packet_key_fields(
     sensor_id: str, timestamp_ms: int, attributes: Mapping[str, Any]
 ) -> bytes:
-    """Duplicate identity of one packet under the full_packet key."""
-    canon = json.dumps(
-        {"a": attributes, "s": sensor_id, "t": timestamp_ms},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.blake2b(canon.encode("utf-8"), digest_size=16).digest()
+    """Duplicate identity of one packet under the full_packet key.
+
+    Two packets get equal digests exactly when their json.dumps texts
+    (sorted keys, no spaces) are equal. The digest is taken over b"o" and
+    the orjson.dumps bytes, which are equal for equal texts and differ for
+    different ones, except where orjson raises (on integers past 64 bits
+    and on surrogate code points) or writes a null that may stand for NaN
+    or an infinity. Such a packet is digested over b"j" and its json.dumps
+    text or, where orjson raised, over the b"o" bytes of another packet
+    with that text (see _json_canon).
+    """
+    global _orjson
+    if _orjson is None:
+        import orjson as _orjson
+    packet = {"a": attributes, "s": sensor_id, "t": timestamp_ms}
+    try:
+        canon = _orjson.dumps(packet, option=_orjson.OPT_SORT_KEYS)
+    except _orjson.JSONEncodeError:
+        canon = _json_canon(packet)
+    else:
+        if b"null" in canon and _null_is_ambiguous(attributes):
+            # No packet of this text has orjson bytes that follow it.
+            canon = b"j" + _json_text(packet).encode("utf-8")
+        else:
+            canon = b"o" + canon
+    return hashlib.blake2b(canon, digest_size=16).digest()

@@ -11,12 +11,15 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import AttestationError
 
 __all__ = ["AttestationStub", "compute_code_hash"]
+
+_CODE_HASH = re.compile("[0-9a-f]{64}")
 
 
 def compute_code_hash() -> str:
@@ -50,11 +53,20 @@ class AttestationStub:
 
     @classmethod
     def from_json(cls, data: "bytes | str") -> "AttestationStub":
+        """Parse a published stub; raises AttestationError unless code_hash
+        is 64 lowercase hex characters and enclave_public_key is the
+        base64 of exactly 32 bytes."""
         try:
             doc = json.loads(data)
-            return cls(
-                code_hash=doc["code_hash"],
-                enclave_public_key=base64.b64decode(doc["enclave_public_key"]),
-            )
+            code_hash = doc["code_hash"]
+            public_key = base64.b64decode(doc["enclave_public_key"], validate=True)
         except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise AttestationError(f"malformed attestation stub: {exc}") from exc
+        if not (type(code_hash) is str and _CODE_HASH.fullmatch(code_hash)):
+            raise AttestationError("malformed attestation stub: bad code_hash")
+        if len(public_key) != 32:
+            raise AttestationError(
+                "malformed attestation stub: enclave_public_key is "
+                f"{len(public_key)} bytes, not 32"
+            )
+        return cls(code_hash=code_hash, enclave_public_key=public_key)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import dataclass
 from typing import Any
 
@@ -41,6 +42,15 @@ class ProxyClient:
         self.capture = capture
         self._session = requests.Session()
         self._session.headers["Authorization"] = f"Bearer {token}"
+        # The environment is read here, once: a session that trusts it
+        # rescans os.environ on every request, and takes a ~/.netrc entry
+        # for the proxy's host as Basic auth in place of the bearer token.
+        self._session.trust_env = False
+        self._session.proxies = requests.utils.get_environ_proxies(self.base_url)
+        environ = os.environ
+        self._session.verify = (
+            environ.get("REQUESTS_CA_BUNDLE") or environ.get("CURL_CA_BUNDLE") or True
+        )
 
     def request(
         self,

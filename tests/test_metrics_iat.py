@@ -9,11 +9,18 @@ criterion 3 also run through assess() itself in test_acceptance.py.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iotdq
 from conftest import ndjson_bytes
 from iotdq import _kernels
 from iotdq.errors import ConfigError, DegenerateIatError
@@ -33,6 +40,17 @@ from iotdq.schema import parse_schema
 from reference import m1_transcription
 
 NO_SCHEMA = parse_schema({})
+_ASTRAL = "\U0001f600"
+_SURROGATE_PAIR = "\ud83d\ude00"  # two code points, one json.dumps text
+# Values where orjson.dumps and json.dumps part ways, and their neighbours.
+_DIGEST_VALUES = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e30, None,
+    True, False, 0, 1, 1.0, 2**63, 2**64, 2**64 - 1, -(2**63), -(2**63) - 1,
+    10**30, "\ud800", "\udc00", "\ud83d", _ASTRAL, _SURROGATE_PAIR,
+    _SURROGATE_PAIR + "\ud800", "null", "NaN", "x\null", "", "\u00e9", "\u03a9",
+    {"v": None}, {"v": float("nan")}, [None], [float("inf")],
+]  # fmt: skip
+_DIGEST_KEYS = ["x", "y", "null", "\uffff", "\ud83d", _ASTRAL, _SURROGATE_PAIR]
 
 
 def _m1_reference(iats_quantized, mode: float, crossover: float = 0.5) -> float:
@@ -406,6 +424,89 @@ class TestM3Fixtures:
         assert a == b
         assert a != packet_key_fields("a", 0, {"x": 1, "y": 3})
 
+    def test_full_packet_key_follows_json_text_at_orjson_edges(self) -> None:
+        def same(x, y) -> bool:
+            return packet_key_fields("a", 0, {"x": x}) == packet_key_fields(
+                "a", 0, {"x": y}
+            )
+
+        # orjson writes NaN and the infinities as null, like None.
+        assert not same(float("nan"), None)
+        assert not same(float("inf"), float("-inf"))
+        assert same(float("nan"), float("nan")) and same(None, None)
+        assert not same({"v": float("nan")}, {"v": None})
+        assert not same([None], [float("-inf")])
+        assert not same(-0.0, 0.0)
+        assert not same(True, 1) and not same(1, 1.0)
+        # orjson raises on these; json.dumps writes them.
+        assert same(2**64, 2**64) and not same(2**64, 2**64 - 1)
+        assert not same("\ud800", "\udc00")
+        # A surrogate pair held as two code points has the json.dumps text
+        # of the character it encodes.
+        assert same(_SURROGATE_PAIR, _ASTRAL)
+        assert packet_key_fields(_SURROGATE_PAIR, 0, {_SURROGATE_PAIR: 1}) == (
+            packet_key_fields(_ASTRAL, 0, {_ASTRAL: 1})
+        )
+        # Key order differs between the two forms, and so does the text.
+        assert packet_key_fields("a", 0, {_SURROGATE_PAIR: 1, "\uffff": 2}) != (
+            packet_key_fields("a", 0, {_ASTRAL: 1, "\uffff": 2})
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        packets=st.lists(
+            st.tuples(
+                st.sampled_from(["a", _ASTRAL, _SURROGATE_PAIR]),
+                st.integers(0, 1),
+                st.dictionaries(
+                    st.sampled_from(_DIGEST_KEYS),
+                    st.sampled_from(_DIGEST_VALUES),
+                    max_size=3,
+                ),
+            ),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    def test_full_packet_digests_equal_exactly_when_json_texts_do(
+        self, packets: list
+    ) -> None:
+        def twin(value):
+            # What orjson may confuse with value: None and NaN, which it
+            # writes alike, and a surrogate pair and the character it
+            # encodes, which json.dumps writes alike.
+            if value is None:
+                return float("nan")
+            if type(value) is float and value != value:
+                return None
+            if type(value) is str:
+                return (
+                    value.replace(_SURROGATE_PAIR, "\0")
+                    .replace(_ASTRAL, _SURROGATE_PAIR)
+                    .replace("\0", _ASTRAL)
+                )
+            if type(value) is dict:
+                return {twin(k): twin(v) for k, v in value.items()}
+            if type(value) is list:
+                return [twin(v) for v in value]
+            return value
+
+        twins = [(twin(sensor), ts, twin(attrs)) for sensor, ts, attrs in packets]
+        pairs = {
+            (
+                json.dumps(
+                    {"a": attrs, "s": sensor, "t": ts},
+                    sort_keys=True,
+                    separators=(",", ":"),
+                ),
+                packet_key_fields(sensor, ts, attrs),
+            )
+            for sensor, ts, attrs in packets + twins
+        }
+        texts = {text for text, _digest in pairs}
+        digests = {digest for _text, digest in pairs}
+        assert len(texts) == len(digests) == len(pairs)
+
     def test_unknown_key_mode_rejected(self) -> None:
         with pytest.raises(ConfigError, match="duplicate_key"):
             AssessmentConfig(duplicate_key="nope")
@@ -439,3 +540,21 @@ class TestM3Fixtures:
         result = _m3([(s, t * 1000) for s, t in keys])
         distinct = len(set(keys))
         assert result.score == 1.0 - (len(keys) - distinct) / len(keys)
+
+
+def test_importing_the_package_leaves_orjson_unloaded() -> None:
+    # A fresh process takes about 10 ms to load orjson; only reading NDJSON
+    # and the full_packet digest need it, and both import it on first use.
+    script = (
+        "import sys, iotdq, iotdq.workflow, iotdq.cli; "
+        "print('orjson' in sys.modules)"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(iotdq.__file__).parents[1])},
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"

@@ -141,6 +141,16 @@ NAMED = {
     + b'\n{"s":"\xed\xa0\x80","n":%d}' % 2**64
     + b'\n{"s":"\xff"' + _LONG_NOTE
     + b"\n[" + _OK + b"," + b"1" * 1200 + b"]\n",
+    # Each line holding an integer past 2**64 is found from the block's mask
+    # by counting the \n, \r and \r\n breaks before it.
+    "digit_runs_across_line_breaks": b"".join(
+        line + brk
+        for line, brk in zip(
+            [_OK, b'{"n":%d}' % 2**64, b"", _OK, b'{"a":%d,"b":[%d]}' % (2**64, -(2**63) - 1),
+             b"", _OK, b'{"n":%d}' % 2**64, _OK, b'{"n":%d}' % 2**64],
+            [b"\r\n", b"\r", b"\r\n", b"\n", b"\n", b"\r", b"\r\n", b"\r", b"\r", b""],
+        )
+    ),  # fmt: skip
     # Lines averaging over 1024 bytes, so the block is not masked whole.
     "long_lines_around_a_masked_line": b"\n".join(
         [_OK[:-1] + _LONG_NOTE * 3] * 2 + [b'{"n":%d}' % (-(2**63) - 1), _OK]

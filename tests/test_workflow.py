@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import secrets
 import stat
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 import requests
@@ -169,6 +171,36 @@ class TestAttestation:
             AttestationStub.from_json(b'{"code_hash": "x"}')
         with pytest.raises(AttestationError):
             AttestationStub.from_json(b"{nope")
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            pytest.param(
+                b'{"code_hash":1,"enclave_public_key":"@@"}', id="int_hash_bad_base64"
+            ),
+            pytest.param(
+                json.dumps(
+                    {
+                        "code_hash": "ab" * 32,
+                        "enclave_public_key": base64.b64encode(b"\x01" * 31).decode(),
+                    }
+                ).encode(),
+                id="31_byte_key",
+            ),
+            pytest.param(
+                json.dumps(
+                    {
+                        "code_hash": "AB" * 32,
+                        "enclave_public_key": base64.b64encode(b"\x01" * 32).decode(),
+                    }
+                ).encode(),
+                id="uppercase_hash",
+            ),
+        ],
+    )
+    def test_mistyped_stub_rejected(self, document: bytes) -> None:
+        with pytest.raises(AttestationError):
+            AttestationStub.from_json(document)
 
     def test_token_expiry_property(self) -> None:
         assert AccessToken("t", "assessee", expiry=0.0).expired
@@ -554,6 +586,28 @@ class TestEndToEnd:
                 proxy.token_for("assessor"),
                 domain="",
             )
+
+    def test_netrc_entry_does_not_replace_the_bearer_token(
+        self, proxy: ProxyServer, tmp_path: Path, monkeypatch
+    ) -> None:
+        EnclaveRunner(proxy.base_url, proxy.token_for("enclave")).register()
+        host = urlsplit(proxy.base_url).hostname
+        netrc = tmp_path / "netrc"
+        netrc.write_text(f"machine {host} login someone password secret\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        stub = fetch_attestation(proxy.base_url, proxy.token_for("assessee"))
+        assert stub.code_hash == compute_code_hash()
+
+    def test_proxy_variables_are_read_once_per_client(self, monkeypatch) -> None:
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
+        client = ProxyClient("http://store.example:8440", "t")
+        assert client._session.proxies.get("http") == "http://127.0.0.1:9"
+        monkeypatch.setenv("no_proxy", "store.example")
+        assert ProxyClient("http://store.example:8440", "t")._session.proxies == {}
 
     def test_missing_attestation_answers_404(self, proxy: ProxyServer) -> None:
         with pytest.raises(WorkflowError, match="404"):
