@@ -2,9 +2,10 @@
 
 NDJSON lines are decoded with orjson, one line's bytes at a time; a line
 orjson cannot be trusted with is read by the standard library's scanner
-and, failing that, by json.loads, so every record and every
-malformed-record reason is what json.loads gives on that line. CSV and
-JSON arrays are read with the standard library.
+and, failing that, by json.loads, so every record is what json.loads
+gives on that line. CSV and JSON arrays are read with the standard
+library. A malformed record is yielded as None: nothing reads why it
+failed.
 
 Timestamps are normalized to integer epoch milliseconds. Numeric values
 below 1e11 are read as epoch seconds (fractions allowed), larger ones as
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import re
 from datetime import datetime, timezone
@@ -103,17 +103,13 @@ def _coerce_csv_value(text: str) -> Any:
     return text
 
 
-def _ndjson_line(line: bytes) -> tuple["dict | None", "str | None"]:
-    """(record, error_reason) of one NDJSON line; the reference parse."""
+def _ndjson_line(line: bytes) -> "dict | None":
+    """The record of one NDJSON line, or None; the reference parse."""
     try:
         record = json.loads(line)
-    except ValueError as exc:
-        return None, f"invalid JSON: {exc}"
-    except RecursionError:
-        return None, "invalid JSON: nesting too deep"
-    if isinstance(record, dict):
-        return record, None
-    return None, "record is not a JSON object"
+    except (ValueError, RecursionError):
+        return None
+    return record if isinstance(record, dict) else None
 
 
 def _lines_holding_digit_run(masked: bytes, count: int, at: int) -> Iterator[bool]:
@@ -140,8 +136,8 @@ def _lines_holding_digit_run(masked: bytes, count: int, at: int) -> Iterator[boo
 
 def _iter_ndjson(
     source: bytes, block_bytes: int = _BLOCK_BYTES
-) -> Iterator[tuple[int, "dict | None", "str | None"]]:
-    """NDJSON records as (index, record, reason), each line decoded by orjson.
+) -> Iterator["dict | None"]:
+    """NDJSON records, or None for a malformed one, each line decoded by orjson.
 
     Lines split as bytes.splitlines() does (on \\n, \\r and \\r\\n only);
     blank lines are skipped. A line that is _TRUSTED_LINE_BYTES or longer,
@@ -149,13 +145,13 @@ def _iter_ndjson(
     by the standard library's scanner instead of orjson. A line neither
     reader turns whole into a dict (one orjson raises on, whitespace orjson
     rejects, a BOM, another encoding, invalid UTF-8, NaN, bad JSON) goes to
-    _ndjson_line. So results and error reasons are those of json.loads on
-    the line's bytes. The source is walked in blocks of about block_bytes,
-    cut after newlines. A block is masked whole, and the lines holding its
-    matches of _DIGIT_RUN are found in that mask, so no line is masked
-    twice; a block whose lines average _TRUSTED_LINE_BYTES or more, which
-    skip orjson anyway, is not masked whole, only its shorter lines one by
-    one.
+    _ndjson_line. So every record, and every None, is what json.loads gives
+    on the line's bytes. The source is walked in blocks of about
+    block_bytes, cut after newlines. A block is masked whole, and the lines
+    holding its matches of _DIGIT_RUN are found in that mask, so no line is
+    masked twice; a block whose lines average _TRUSTED_LINE_BYTES or more,
+    which skip orjson anyway, is not masked whole, only its shorter lines
+    one by one.
     """
     # Imported here: a fresh process takes about 10 ms to load orjson (with
     # uuid, zoneinfo and sysconfig), which only NDJSON reading needs.
@@ -164,7 +160,6 @@ def _iter_ndjson(
     loads = orjson.loads
     decode_error = orjson.JSONDecodeError
     scan = _scan_once
-    index = 0
     start = 0
     size = len(source)
     while start < size:
@@ -200,22 +195,17 @@ def _iter_ndjson(
                 except (StopIteration, ValueError, RecursionError):
                     record = None
             if type(record) is dict:
-                yield index, record, None
-                index += 1
+                yield record
             elif line.strip():
-                yield (index, *_ndjson_line(line))
-                index += 1
+                yield _ndjson_line(line)
         del lines  # not held beside the next block's
 
 
-def iter_records(
-    source: bytes, format: str
-) -> Iterator[tuple[int, "Mapping[str, Any] | None", "str | None"]]:
-    """Yield (record_index, record, error_reason) triples from raw bytes.
+def iter_records(source: bytes, format: str) -> Iterator["Mapping[str, Any] | None"]:
+    """Yield one item per record of raw bytes: the record, or None if malformed.
 
-    Exactly one of record / error_reason is set per yielded item. Record
-    indices are positions in the record sequence (blank NDJSON lines are
-    skipped without consuming an index).
+    Records are the non-blank NDJSON lines, the CSV rows and the JSON
+    array's elements, in order.
     """
     if format == "ndjson":
         yield from _iter_ndjson(source)
@@ -233,22 +223,21 @@ def iter_records(
                 return
         except csv.Error as exc:
             raise IngestFormatError(f"CSV header is unreadable: {exc}") from exc
-        for index in itertools.count():
+        while True:
             try:
                 row = next(reader)
             except StopIteration:
                 return
-            except csv.Error as exc:
+            except csv.Error:
                 # A field over the size limit, say; reading resumes at the next row.
-                yield index, None, f"unreadable CSV row: {exc}"
+                yield None
                 continue
-            if None in row:
-                yield index, None, "row has more fields than the header"
+            if None in row:  # more fields than the header
+                yield None
                 continue
-            record = {
+            yield {
                 k: _coerce_csv_value(v) for k, v in row.items() if v is not _MISSING
             }
-            yield index, record, None
     if format == "json_array":
         try:
             doc = json.loads(source)
@@ -258,11 +247,8 @@ def iter_records(
             raise IngestFormatError("source JSON is nested too deeply") from exc
         if not isinstance(doc, list):
             raise IngestFormatError("JSON source must be an array of objects")
-        for index, record in enumerate(doc):
-            if isinstance(record, dict):
-                yield index, record, None
-            else:
-                yield index, None, "record is not a JSON object"
+        for record in doc:
+            yield record if isinstance(record, dict) else None
         return
     raise IngestFormatError(f"unknown dataset format: {format!r}")
 

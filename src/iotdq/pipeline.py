@@ -157,7 +157,7 @@ def _scan(data: bytes, prepared: tuple, config: AssessmentConfig, fmt: str) -> _
     # and value types, so they are judged once per such signature.
     memo: "dict[tuple, tuple] | None" = None if full_checks else {}
 
-    for _index, record, _reason in iter_records(data, fmt):
+    for record in iter_records(data, fmt):
         if record is None:
             malformed += 1
             continue

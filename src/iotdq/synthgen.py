@@ -98,6 +98,8 @@ class GenSpec:
             doc = json.loads(data)
         except ValueError as exc:
             raise GenSpecError(f"spec is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise GenSpecError("spec JSON is nested too deeply") from exc
         if not isinstance(doc, dict):
             raise GenSpecError("spec must be a JSON object")
         known = set(cls.__dataclass_fields__)
@@ -107,7 +109,7 @@ class GenSpec:
         fields = {k: v for k, v in doc.items() if k in known}
         try:
             return cls(**fields)
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise GenSpecError(str(exc)) from exc
 
 

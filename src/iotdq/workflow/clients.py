@@ -26,6 +26,8 @@ __all__ = [
     "assessee_fetch_report",
 ]
 
+_REQUEST_TIMEOUT = 30.0  # seconds to connect, and between bytes of an answer
+
 
 class ProxyClient:
     """Thin HTTP wrapper; optionally captures every response for audits."""
@@ -35,10 +37,8 @@ class ProxyClient:
         base_url: str,
         token: str,
         capture: "list[tuple[str, str, int, bytes]] | None" = None,
-        timeout: float = 30.0,
     ) -> None:
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
         self.capture = capture
         self._session = requests.Session()
         self._session.headers["Authorization"] = f"Bearer {token}"
@@ -65,7 +65,7 @@ class ProxyClient:
                 f"{self.base_url}{path}",
                 data=body,
                 headers=headers,
-                timeout=self.timeout,
+                timeout=_REQUEST_TIMEOUT,
             )
         except requests.RequestException as exc:
             raise WorkflowError(f"proxy unreachable: {exc}") from exc

@@ -26,6 +26,8 @@ __all__ = ["EnclaveRunner"]
 
 logger = logging.getLogger(__name__)
 
+_POLL_SECONDS = 0.2  # wait after a claim finds the queue empty
+
 
 class EnclaveRunner:
     """One simulated enclave bound to a proxy."""
@@ -61,10 +63,10 @@ class EnclaveRunner:
         self._complete(assessment_id, "done", report_id)
         return "done"
 
-    def serve_forever(self, poll_interval: float = 0.2) -> None:
+    def serve_forever(self) -> None:
         while True:
             if self.run_once() is None:
-                time.sleep(poll_interval)
+                time.sleep(_POLL_SECONDS)
 
     def _complete(
         self, assessment_id: str, state: str, report_id: "str | None"

@@ -23,8 +23,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, NamedTuple
 
+from .attestation import AttestationStub
 from .sealing import envelope_key_ids
-from ..errors import SealingError
+from ..errors import AttestationError, SealingError
 
 __all__ = [
     "CONTENT_KINDS",
@@ -395,7 +396,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, stub)
 
     def _post_attestation(self, _token: AccessToken) -> None:
-        self.server.store.set_attestation(self._body())
+        body = self._body()
+        try:
+            AttestationStub.from_json(body)
+        except AttestationError as exc:
+            raise _Refusal(400, str(exc)) from None
+        self.server.store.set_attestation(body)
         self._send_json(200, {"status": "registered"})
 
     def _post_assessment(self, _token: AccessToken) -> None:

@@ -68,6 +68,8 @@ class KeyPair:
 
     @classmethod
     def from_private_bytes(cls, raw: bytes) -> "KeyPair":
+        if len(raw) != 32:
+            raise SealingError("private key must be 32 raw bytes")
         private = X25519PrivateKey.from_private_bytes(raw)
         return cls(private=private, public_bytes=private.public_key().public_bytes_raw())
 

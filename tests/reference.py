@@ -65,7 +65,7 @@ def read_packets(
     packets = []
     malformed = 0
     skip = (config.timestamp_field, config.sensor_id_field)
-    for _index, record, _reason in iter_records(data, fmt):
+    for record in iter_records(data, fmt):
         try:
             if record is None or config.timestamp_field not in record:
                 raise _Malformed

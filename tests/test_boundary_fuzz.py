@@ -1,9 +1,9 @@
 """Boundary parsers raise only IotDqError subclasses, whatever the bytes.
 
-parse_schema, AssessmentConfig.from_json and AttestationStub.from_json
-read documents that come from outside the program. Any input they cannot
-use must surface as the package's own error, never as a RecursionError,
-TypeError or other leak.
+parse_schema, AssessmentConfig.from_json, AttestationStub.from_json
+and GenSpec.from_json read documents that come from outside the program.
+Any input they cannot use must surface as the package's own error, never
+as a RecursionError, TypeError or other leak.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from iotdq.errors import IotDqError
 from iotdq.model import AssessmentConfig
 from iotdq.schema import parse_schema
+from iotdq.synthgen import GenSpec
 from iotdq.workflow.attestation import AttestationStub
 
 # Keys the parsers look for, so that the search reaches the checks past
@@ -26,7 +27,10 @@ _KEYS = [
     "timestamp_field", "sensor_id_field", "weights", "rae_crossover",
     "z_cutoff", "quantization_seconds", "mode_scope", "duplicate_key",
     "format_checks", "dataset_format", "domain", "created_at", "M1", "M6",
-    "code_hash", "enclave_public_key",
+    "code_hash", "enclave_public_key", "sensor_count", "packets_per_sensor",
+    "interval_seconds", "jitter_fraction", "outlier_rate", "outlier_magnitude",
+    "duplicate_rate", "missing_mandatory_rate", "unknown_attr_rate",
+    "format_error_rate", "seed", "start_epoch_ms", "schema",
 ]
 _values = st.recursive(
     st.none()
@@ -74,3 +78,10 @@ def test_config_from_json_raises_only_iotdq_errors(data) -> None:
 def test_attestation_stub_from_json_raises_only_iotdq_errors(data) -> None:
     with contextlib.suppress(IotDqError):
         AttestationStub.from_json(data)
+
+
+@given(data=_documents)
+@settings(max_examples=1000, deadline=None)
+def test_gen_spec_from_json_raises_only_iotdq_errors(data) -> None:
+    with contextlib.suppress(IotDqError):
+        GenSpec.from_json(data)

