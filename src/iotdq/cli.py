@@ -281,10 +281,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except DatasetRejectedError as exc:
         print(f"dataset rejected: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IotDqError as exc:
+    except (OSError, IotDqError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,12 +23,16 @@ any other source is one block.
 Records arrive from ingest.iter_records, which decodes NDJSON lines with
 orjson (the C scanner or json.loads where orjson cannot be trusted).
 M4-M6 come from one Counter of (metric, None) per violating record and
-(metric, attribute) per violation. Under format_checks="types_only" a
-record's violations depend only on its keys and value types, so the
-scan keeps its counter keys per such signature and builds no attribute
-dict for a record whose signature it has seen, unless the full_packet
-duplicate key needs one. Records with nested values and every record
-under format_checks="full" are judged one by one.
+(metric, attribute) per violation. A record's missing, unknown, null and
+type violations depend only on its keys and value types, so the scan
+judges them once per such signature with _flags_for and keeps their
+counter keys, together with the signature's plan of value checks: under
+format_checks="full", one (name, lo, hi, pattern) per type-correct
+attribute that declares a bound or a pattern; under "types_only", none.
+Every record of a seen signature runs only that plan, and builds no
+attribute dict unless the full_packet duplicate key needs one (then a
+copy of the record without the timestamp and sensor id). Records with
+nested values are never memoised and are judged one by one.
 """
 
 from __future__ import annotations
@@ -58,7 +62,13 @@ from .metrics_iat import (
 )
 from .model import AssessmentConfig, MetricResult, QualityReport
 from .report import aggregate
-from .schema import METRIC_OF_KIND, SchemaDocument, _flags_for
+from .schema import (
+    METRIC_OF_KIND,
+    SchemaDocument,
+    _flags_for,
+    _value_faults,
+    _value_plan,
+)
 
 __all__ = ["assess", "assess_file", "sensor_iats"]
 
@@ -153,9 +163,11 @@ def _scan(data: bytes, prepared: tuple, config: AssessmentConfig, fmt: str) -> _
     ts_col = array("q")
     digests = bytearray()
 
-    # Under types_only checks a record's violations depend only on its keys
-    # and value types, so they are judged once per such signature.
-    memo: "dict[tuple, tuple] | None" = None if full_checks else {}
+    # A record's type-level violations depend only on its keys and value
+    # types, so they are judged once per such signature, together with the
+    # plan of value checks (range, pattern) that every record of the
+    # signature runs under full checks. Under types_only the plan is empty.
+    memo: dict[tuple, tuple] = {}
 
     for record in iter_records(data, fmt):
         if record is None:
@@ -174,21 +186,32 @@ def _scan(data: bytes, prepared: tuple, config: AssessmentConfig, fmt: str) -> _
                 sensor_id = raw_id
             else:
                 raise ValueError("sensor id must be a non-empty string or integer")
-            hits = None
-            if memo is not None:
-                signature = (*record, *map(type, record.values()))
-                hits = memo.get(signature)
-            if hits is None or not id_ts_key:
+            signature = (*record, *map(type, record.values()))
+            verdict = memo.get(signature)
+            if verdict is None:
                 attrs, nested = _attributes(record, ts_field, sid_field)
+            elif not id_ts_key:
+                # A memoised signature never holds a nested or list value.
+                attrs = record.copy()
+                del attrs[ts_field], attrs[sid_field]
         except ValueError:
             malformed += 1
             continue
 
-        if hits is None:
-            hits = _hits(_flags_for(attrs, prepared, full_checks))
-            # A memoised signature never holds a nested or list value.
-            if memo is not None and not nested and len(memo) < _MEMO_CAP:
-                memo[signature] = hits
+        if verdict is None:
+            detail = _flags_for(attrs, prepared, False)
+            plan = _value_plan(attrs, prepared) if full_checks else ()
+            verdict = (detail, _hits(detail), plan)
+            if not nested and len(memo) < _MEMO_CAP:
+                memo[signature] = verdict
+            values = attrs
+        else:
+            values = record
+        detail, hits, plan = verdict
+        if plan:
+            faults = _value_faults(values, plan)
+            if faults:
+                hits = _hits((*detail, *faults))
         total += 1
         for hit in hits:
             violations[hit] += 1
@@ -397,7 +420,7 @@ def sensor_iats(
     a sensor keeps after deduplication under config.duplicate_key. Raises
     DatasetRejectedError when more than half of the records are malformed.
     """
-    # No violation is read here; under types_only each signature is judged once.
+    # No violation is read here, so no record runs a value check.
     config = dataclasses.replace(config, format_checks="types_only")
     tally = _fold(data, _NO_SCHEMA, config, format or config.dataset_format)
     return list(zip(tally.sensor_index, _sensor_iat_arrays(tally.ts_buffers)))

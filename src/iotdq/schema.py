@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Pattern
@@ -91,21 +92,34 @@ class SchemaDocument:
             )
 
     def prepared(self) -> tuple[tuple[str, ...], dict[str, tuple]]:
-        """Flat lookup tables for the validation loop, cached per document."""
+        """Flat lookup tables for the validation loop, cached per document.
+
+        Each attribute maps to (declared type, value check), the check being
+        None or the (name, lo, hi, pattern) entry of a _value_faults plan.
+        """
         cached = self.__dict__.get("_prepared")
         if cached is None:
             lookup = {
-                name: (
-                    spec.declared_type,
-                    spec.minimum,
-                    spec.maximum,
-                    spec.compiled_pattern,
-                )
+                name: (spec.declared_type, _value_check(name, spec))
                 for name, spec in self.attributes.items()
             }
             cached = (tuple(sorted(self.mandatory)), lookup)
             object.__setattr__(self, "_prepared", cached)
         return cached
+
+
+def _value_check(name: str, spec: AttributeSpec) -> "tuple | None":
+    """(name, lo, hi, pattern) when spec declares a bound or a pattern.
+
+    An absent bound is -inf or +inf. No value, NaN included, lies below
+    -inf or above +inf, so the < and > of _value_faults pass every value
+    against an absent bound, as no check would.
+    """
+    if spec.minimum is None and spec.maximum is None and spec.compiled_pattern is None:
+        return None
+    lo = -math.inf if spec.minimum is None else spec.minimum
+    hi = math.inf if spec.maximum is None else spec.maximum
+    return (name, lo, hi, spec.compiled_pattern)
 
 
 def _type_ok(value: Any, declared: str) -> bool:
@@ -126,6 +140,7 @@ def _flags_for(
     """(attribute, kind) per violation of one packet; empty when it is clean.
 
     The only verdict implementation; METRIC_OF_KIND names each kind's metric.
+    Under full checks the range and pattern kinds follow the others.
     """
     mandatory, lookup = prepared
     detail = [(name, "missing") for name in mandatory if name not in attributes]
@@ -133,22 +148,47 @@ def _flags_for(
         spec = lookup.get(name)
         if spec is None:
             detail.append((name, "unknown"))
-            continue
-        declared, minimum, maximum, pattern = spec
-        if value is None:
+        elif value is None:
             detail.append((name, "null"))
-        elif not _type_ok(value, declared):
+        elif not _type_ok(value, spec[0]):
             detail.append((name, "type"))
-        elif not full_checks:
-            continue
-        elif declared in ("integer", "float"):
-            if (minimum is not None and value < minimum) or (
-                maximum is not None and value > maximum
-            ):
-                detail.append((name, "range"))
-        elif pattern is not None and pattern.search(value) is None:
-            detail.append((name, "pattern"))
+    if full_checks:
+        detail += _value_faults(attributes, _value_plan(attributes, prepared))
     return tuple(detail)
+
+
+def _value_plan(
+    attributes: Mapping[str, Any], prepared: tuple[tuple[str, ...], dict[str, tuple]]
+) -> tuple[tuple, ...]:
+    """The value checks of attributes: (name, lo, hi, pattern) per attribute
+    whose value passes its type check and whose spec declares a bound or a
+    pattern. Records with the same keys and value types share one plan."""
+    lookup = prepared[1]
+    plan = []
+    for name, value in attributes.items():
+        spec = lookup.get(name)
+        if spec is not None and spec[1] is not None and _type_ok(value, spec[0]):
+            plan.append(spec[1])
+    return tuple(plan)
+
+
+def _value_faults(
+    attributes: Mapping[str, Any], plan: tuple[tuple, ...]
+) -> list[tuple[str, str]]:
+    """(attribute, "range" or "pattern") per check of plan that fails.
+
+    The only implementation of the range and pattern checks: a number
+    fails below lo or above hi, a string fails when pattern finds no match.
+    """
+    faults = []
+    for name, lo, hi, pattern in plan:
+        value = attributes[name]
+        if pattern is not None:
+            if pattern.search(value) is None:
+                faults.append((name, "pattern"))
+        elif value < lo or value > hi:
+            faults.append((name, "range"))
+    return faults
 
 
 def parse_schema(source: "bytes | str | Mapping[str, Any]") -> SchemaDocument:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -64,6 +65,18 @@ class GenSpec:
     start_epoch_ms: int = _DEFAULT_START_MS
 
     def __post_init__(self) -> None:
+        for name in ("sensor_count", "packets_per_sensor", "seed", "start_epoch_ms"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise GenSpecError(f"{name} must be an integer")
+        for name in ("interval_seconds", "outlier_magnitude"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max
+            ):
+                raise GenSpecError(f"{name} must be a finite number")
         if self.sensor_count < 1:
             raise GenSpecError("sensor_count must be >= 1")
         if self.packets_per_sensor < 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -275,14 +276,10 @@ class TestMisc:
 _DEEP = b"[" * 100_000  # far past the interpreter's recursion limit
 
 
-@pytest.mark.parametrize("case", ["spec", "keyfile", "config", "schema"])
-def test_unusable_input_file_exits_1_without_a_traceback(
-    dataset, capsys, case: str
-) -> None:
-    bad = dataset["tmp"] / "bad"
-    bad.write_bytes(b"short" if case == "keyfile" else _DEEP)
+def _reading(bad: Path, dataset: dict[str, Path], case: str) -> list[str]:
+    """The arguments of a command that reads bad as its case input file."""
     assess_args = ["assess", "--data", str(dataset["data"])]
-    argv = {
+    return {
         "spec": ["generate", "--spec", str(bad), "--out", str(dataset["tmp"] / "g")],
         "keyfile": [
             "fetch", "--assessment-id", "a", "--proxy", "http://127.0.0.1:9",
@@ -292,11 +289,38 @@ def test_unusable_input_file_exits_1_without_a_traceback(
             *assess_args, "--schema", str(dataset["schema"]), "--config", str(bad)
         ],
         "schema": [*assess_args, "--schema", str(bad)],
+        "data": ["assess", "--data", str(bad), "--schema", str(dataset["schema"])],
     }[case]
-    assert main(argv) == 1
+
+
+@pytest.mark.parametrize("case", ["spec", "keyfile", "config", "schema"])
+def test_unusable_input_file_exits_1_without_a_traceback(
+    dataset, capsys, case: str
+) -> None:
+    bad = dataset["tmp"] / "bad"
+    bad.write_bytes(b"short" if case == "keyfile" else _DEEP)
+    assert main(_reading(bad, dataset, case)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("unopenable", ["directory", "unreadable"])
+@pytest.mark.parametrize("case", ["spec", "keyfile", "config", "schema", "data"])
+def test_unopenable_input_file_exits_1(
+    dataset, capsys, case: str, unopenable: str
+) -> None:
+    bad = dataset["tmp"] / "bad"
+    if unopenable == "directory":
+        bad.mkdir()
+    else:
+        if os.geteuid() == 0:
+            pytest.skip("root opens a file whatever its mode")
+        bad.write_bytes(b"{}")
+        bad.chmod(0)
+    assert main(_reading(bad, dataset, case)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
 
 
 @pytest.fixture

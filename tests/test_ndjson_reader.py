@@ -24,10 +24,11 @@ import iotdq
 import iotdq.pipeline
 from conftest import ndjson_bytes
 from iotdq.errors import IngestFormatError
-from iotdq.ingest import _iter_ndjson, iter_records
+from iotdq.ingest import _iter_ndjson, iter_records, parse_timestamp
+from iotdq.metrics_iat import packet_key_fields
 from iotdq.model import AssessmentConfig
 from iotdq.pipeline import assess
-from iotdq.schema import parse_schema
+from iotdq.schema import FORMAT_KINDS, parse_schema
 from iotdq.synthgen import DEFAULT_SCHEMA
 from reference import assert_scores_match, reference_scores
 
@@ -367,11 +368,111 @@ def test_types_only_checks_once_per_signature(monkeypatch) -> None:
     assert report.result("M6").evidence["by_attribute"] == {"pm25": 5}
 
 
-def test_full_checks_call_flags_for_every_record(monkeypatch) -> None:
+def test_full_checks_call_flags_for_once_per_signature(monkeypatch) -> None:
     calls = _count_flags_calls(monkeypatch)
     records = [_rec(i) for i in range(50)] + [_rec(50, pm25=900.0)]
+    records += [_rec(51 + i, status="x") for i in range(5)]
+    records += [_rec(56, temperature=-41.0, pm25=-0.5)]
     report = assess(
         ndjson_bytes(records), SCHEMA, AssessmentConfig(format_checks="full")
     )
-    assert len(calls) == 51
-    assert report.result("M6").evidence["by_attribute"] == {"pm25": 1}
+    # One signature: its later records, out of range ones too, are memo hits
+    # that run only the range checks.
+    assert len(calls) == 1
+    m6 = report.result("M6")
+    assert m6.numerator_count == 2
+    assert m6.evidence["by_attribute"] == {"pm25": 2, "temperature": 1}
+
+
+# -- full checks on memo hits ----------------------------------------------
+
+# Float bounds on pm25, a one-sided float bound on temperature, an integer
+# bound on count and a pattern on status.
+_PLAN_SCHEMA = parse_schema(
+    {
+        "properties": {
+            "pm25": {"type": "number", "minimum": 0.0, "maximum": 500.0},
+            "temperature": {"type": "number", "minimum": -40.5},
+            "count": {"type": "integer", "maximum": 1000},
+            "status": {"type": "string", "pattern": "^(ok|warn)$"},
+            "note": {"type": "string"},
+        },
+        "required": ["pm25"],
+    }
+)
+# JSON literals, in range and out of it. NaN, the infinities and the
+# integers past 2**64 are read by the json.loads fallback.
+_NUMBERS = [
+    b"12.5", b"0", b"0.0", b"500.0", b"500.5", b"-0.5", b"-40.5", b"-41",
+    b"NaN", b"Infinity", b"-Infinity", b"%d" % 2**64, b"%d" % -(2**64),
+    b"%d" % 2**70, b"true", b"false", b"null", b'"5"',
+]  # fmt: skip
+_COUNTS = [b"3", b"1000", b"1001", b"-7", b"%d" % 2**64, b"2.0", b"true", b"null"]
+_STATUSES = [b'"ok"', b'"warn"', b'"okay"', b'"nope"', b'""', b"null", b"1"]
+_PLAN_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from([b"a", b"b"]),
+        st.integers(0, 5),
+        st.sampled_from(_NUMBERS),
+        st.sampled_from(_NUMBERS),
+        st.sampled_from(_COUNTS),
+        st.sampled_from(_STATUSES),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _plan_data(rows) -> bytes:
+    """Each row as a record, then every row again ten minutes later: the
+    second copies share their signatures with the first, so the memo hits
+    carry every odd value."""
+    lines = []
+    for shift in (0, 600):
+        for sensor, minute, pm25, temperature, count, status, debug in rows:
+            line = b'{"sensor_id":"%s","timestamp":%d,"pm25":%s,"temperature":%s' % (
+                sensor, 60 * minute + shift, pm25, temperature
+            )
+            line += b',"count":%s,"status":%s' % (count, status)
+            lines.append(line + (b',"debug":1}' if debug else b"}"))
+    return b"\n".join(lines) + b"\n"
+
+
+@pytest.mark.parametrize("duplicate_key", ["id_timestamp", "full_packet"])
+@given(rows=_PLAN_ROWS)
+@settings(max_examples=150, deadline=None)
+def test_full_checks_on_memo_hits_match_oracle(rows, duplicate_key: str) -> None:
+    data = _plan_data(rows)
+    config = AssessmentConfig(
+        quantization_seconds=60.0, format_checks="full", duplicate_key=duplicate_key
+    )
+    report = assess(data, _PLAN_SCHEMA, config)
+    assert_scores_match(report, reference_scores(data, _PLAN_SCHEMA, config, "ndjson"))
+    # Each record's violations are those of its own full verdict.
+    prepared = _PLAN_SCHEMA.prepared()
+    per_attribute: dict = {}
+    for record in iter_records(data, "ndjson"):
+        attrs, _ = iotdq.pipeline._attributes(record, "timestamp", "sensor_id")
+        for name, kind in iotdq.pipeline._flags_for(attrs, prepared, True):
+            if kind in FORMAT_KINDS:
+                per_attribute[name] = per_attribute.get(name, 0) + 1
+    assert report.result("M6").evidence["by_attribute"] == per_attribute
+
+
+@given(rows=_PLAN_ROWS)
+@settings(max_examples=100, deadline=None)
+def test_memo_hit_digests_match_flattened_attributes(rows) -> None:
+    data = _plan_data(rows)
+    config = AssessmentConfig(format_checks="full", duplicate_key="full_packet")
+    scan = iotdq.pipeline._scan(data, _PLAN_SCHEMA.prepared(), config, "ndjson")
+    want = b"".join(
+        packet_key_fields(
+            record["sensor_id"],
+            parse_timestamp(record["timestamp"]),
+            iotdq.pipeline._attributes(record, "timestamp", "sensor_id")[0],
+        )
+        for record in iter_records(data, "ndjson")
+    )
+    assert scan.total == 2 * len(rows)
+    assert bytes(scan.digests) == want

@@ -385,19 +385,20 @@ class TestForkedScan:
         data = _defect_dataset(1)
         cut_into(3)
         config = AssessmentConfig(format_checks="full")
-        valid = assess(data, EDGE_SCHEMA, config).result("M4").denominator_count
+        assess(data, EDGE_SCHEMA, config)
         assert forks == [3]
-        flags_for = iotdq.pipeline._flags_for
+        parse = iotdq.pipeline.parse_timestamp
         calls: list = []
         monkeypatch.setattr(
             iotdq.pipeline,
-            "_flags_for",
-            lambda *args: calls.append(args[0]) or flags_for(*args),
+            "parse_timestamp",
+            lambda value: calls.append(value) or parse(value),
         )
         assess(data, EDGE_SCHEMA, config)
         assert forks == [3]
-        # Every valid record was judged where the wrapper counts.
-        assert len(calls) == valid
+        # Every timestamp was parsed where the wrapper counts.
+        stamped = [json.loads(line) for line in data.splitlines()]
+        assert len(calls) == sum("timestamp" in record for record in stamped)
 
     def test_worker_exception_is_raised(self, cut_into, monkeypatch) -> None:
         parent = os.getpid()

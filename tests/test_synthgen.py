@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -156,11 +157,46 @@ class TestFeasibility:
             {"outlier_rate": 1.0},
             {"outlier_magnitude": 1.0},
             {"interval_seconds": 0.001, "jitter_fraction": 0.4},
+            {"interval_seconds": math.inf},
+            {"interval_seconds": math.nan},
+            {"interval_seconds": 10**400},
+            {"interval_seconds": "60"},
+            {"interval_seconds": True},
+            {"outlier_magnitude": math.inf},
+            {"outlier_magnitude": math.nan},
+            {"sensor_count": 2.0},
+            {"sensor_count": True},
+            {"packets_per_sensor": 10.5},
+            {"packets_per_sensor": "10"},
+            {"seed": 1.0},
+            {"seed": False},
+            {"start_epoch_ms": math.inf},
+            {"start_epoch_ms": 1.5e12},
+            {"start_epoch_ms": None},
         ],
     )
     def test_invalid_spec_rejected(self, kwargs: dict) -> None:
         with pytest.raises(GenSpecError):
             GenSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b'{"interval_seconds": 1e400, "packets_per_sensor": 3}',
+            b'{"outlier_magnitude": 1e400}',
+            b'{"outlier_magnitude": NaN}',
+            b'{"start_epoch_ms": 1e400}',
+            b'{"start_epoch_ms": 1767225600000.0}',
+            b'{"sensor_count": 2.0}',
+            b'{"seed": true}',
+        ],
+    )
+    def test_spec_json_rejects_non_finite_and_mistyped_values(self, doc: bytes) -> None:
+        with pytest.raises(GenSpecError):
+            GenSpec.from_json(doc)
+
+    def test_integral_interval_is_accepted(self) -> None:
+        assert GenSpec(interval_seconds=60, outlier_magnitude=5).interval_seconds == 60
 
     def test_defect_budget_enforced(self) -> None:
         spec = GenSpec(
