@@ -11,9 +11,16 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from typing import Any, Sequence
 
-from .errors import DatasetRejectedError, IotDqError, ReportNotReady
+from .errors import (
+    DatasetRejectedError,
+    GenSpecError,
+    IotDqError,
+    ReportNotReady,
+    load_json,
+)
 from .model import DIMENSIONS, METRIC_IDS, AssessmentConfig
 from .pipeline import assess, sensor_iats
 from .report import serialize_report
@@ -57,17 +64,20 @@ def _write(path: str, data: bytes) -> None:
             fh.write(data)
 
 
-def _load_config(path: "str | None") -> AssessmentConfig:
-    if path is None:
-        return AssessmentConfig()
-    return AssessmentConfig.from_json(_read(path))
+def _load_config(args: argparse.Namespace) -> AssessmentConfig:
+    """--config, or the default config, with --format's dataset format."""
+    config = AssessmentConfig()
+    if args.config is not None:
+        config = AssessmentConfig.from_json(_read(args.config))
+    if args.format:
+        config = replace(config, dataset_format=_FORMAT_SPELLINGS[args.format])
+    return config
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     schema = parse_schema(_read(args.schema))
-    fmt = _FORMAT_SPELLINGS[args.format] if args.format else None
-    report = assess(_read(args.data), schema, config, format=fmt)
+    report = assess(_read(args.data), schema, config)
     payload = serialize_report(report)
     if args.out:
         _write(args.out, payload)
@@ -85,7 +95,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.schema:
         schema_source: Any = _read(args.schema)
     else:
-        doc = json.loads(spec_raw)
+        doc = load_json(spec_raw, GenSpecError, "spec")
         schema_source = doc.get("schema", DEFAULT_SCHEMA)
         if isinstance(schema_source, str):
             schema_source = _read(schema_source)
@@ -100,10 +110,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_histogram(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    fmt = _FORMAT_SPELLINGS[args.format] if args.format else config.dataset_format
+    config = _load_config(args)
     lines = ["sensor_id,bin_seconds,count"]
-    for sensor_id, iats in sensor_iats(_read(args.data), config, format=fmt):
+    for sensor_id, iats in sensor_iats(_read(args.data), config):
         for bin_value, count in iat_histogram(iats, args.bin_width):
             lines.append(f"{sensor_id},{bin_value:g},{count}")
     output = ("\n".join(lines) + "\n").encode("utf-8")

@@ -1,8 +1,13 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one JSON loader
+for documents that come from outside the program."""
 
 from __future__ import annotations
 
+import json
+from typing import Any
+
 __all__ = [
+    "load_json",
     "IotDqError",
     "ConfigError",
     "IngestFormatError",
@@ -64,3 +69,23 @@ class WorkflowError(IotDqError):
 
 class ReportNotReady(WorkflowError):
     """Assessment still queued or running; retry later."""
+
+
+def load_json(
+    data: "bytes | str", error: "type[IotDqError]", what: str, shape: type = dict
+) -> Any:
+    """json.loads(data), required to be a shape (dict or list).
+
+    Every failure raises error, naming the document as what; nothing else
+    escapes, whatever the bytes.
+    """
+    try:
+        doc = json.loads(data)
+    except (ValueError, TypeError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{what} is nested too deeply") from exc
+    if not isinstance(doc, shape):
+        kind = "object" if shape is dict else "array"
+        raise error(f"{what} must be a JSON {kind}")
+    return doc

@@ -22,7 +22,7 @@ import re
 from datetime import datetime, timezone
 from typing import Any, Iterator, Mapping
 
-from .errors import IngestFormatError
+from .errors import IngestFormatError, load_json
 
 __all__ = ["parse_timestamp", "iter_records"]
 
@@ -239,15 +239,7 @@ def iter_records(source: bytes, format: str) -> Iterator["Mapping[str, Any] | No
                 k: _coerce_csv_value(v) for k, v in row.items() if v is not _MISSING
             }
     if format == "json_array":
-        try:
-            doc = json.loads(source)
-        except ValueError as exc:
-            raise IngestFormatError(f"source is not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise IngestFormatError("source JSON is nested too deeply") from exc
-        if not isinstance(doc, list):
-            raise IngestFormatError("JSON source must be an array of objects")
-        for record in doc:
+        for record in load_json(source, IngestFormatError, "source", list):
             yield record if isinstance(record, dict) else None
         return
     raise IngestFormatError(f"unknown dataset format: {format!r}")

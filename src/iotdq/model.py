@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping, Sequence
 
-from .errors import AggregationError, ConfigError
+from .errors import AggregationError, ConfigError, load_json
 
 __all__ = [
-    "Scalar",
     "METRIC_IDS",
     "DIMENSIONS",
     "IatModel",
@@ -23,8 +22,6 @@ __all__ = [
     "AssessmentConfig",
     "registry",
 ]
-
-Scalar = int | float | str | bool | None
 
 METRIC_IDS: tuple[str, ...] = ("M1", "M2", "M3", "M4", "M5", "M6")
 
@@ -276,30 +273,11 @@ class AssessmentConfig:
         object.__setattr__(self, "weights", full)
 
     def to_json(self) -> bytes:
-        doc = {
-            "timestamp_field": self.timestamp_field,
-            "sensor_id_field": self.sensor_id_field,
-            "weights": {m: self.weights[m] for m in METRIC_IDS},
-            "rae_crossover": self.rae_crossover,
-            "z_cutoff": self.z_cutoff,
-            "quantization_seconds": self.quantization_seconds,
-            "mode_scope": self.mode_scope,
-            "duplicate_key": self.duplicate_key,
-            "format_checks": self.format_checks,
-            "dataset_format": self.dataset_format,
-            "domain": self.domain,
-            "created_at": self.created_at,
-        }
-        return json.dumps(doc, indent=2).encode("utf-8") + b"\n"
+        return json.dumps(asdict(self), indent=2).encode("utf-8") + b"\n"
 
     @classmethod
     def from_json(cls, data: "bytes | str") -> "AssessmentConfig":
-        try:
-            doc = json.loads(data)
-        except (ValueError, TypeError, RecursionError) as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
+        doc = load_json(data, ConfigError, "config")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:

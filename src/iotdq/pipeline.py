@@ -148,7 +148,7 @@ class _Tally(NamedTuple):
     dups: list[int]  # duplicates per sensor
 
 
-def _scan(data: bytes, prepared: tuple, config: AssessmentConfig, fmt: str) -> _Scan:
+def _scan(data: bytes, prepared: tuple, config: AssessmentConfig) -> _Scan:
     """Normalise and flag every record of data, in record order."""
     full_checks = config.format_checks == "full"
     ts_field = config.timestamp_field
@@ -169,7 +169,7 @@ def _scan(data: bytes, prepared: tuple, config: AssessmentConfig, fmt: str) -> _
     # signature runs under full checks. Under types_only the plan is empty.
     memo: dict[tuple, tuple] = {}
 
-    for record in iter_records(data, fmt):
+    for record in iter_records(data, config.dataset_format):
         if record is None:
             malformed += 1
             continue
@@ -290,14 +290,11 @@ def _scan_blocks(
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _in_worker(
-                    write_fd,
-                    lambda: _scan(data[start:stop], prepared, config, "ndjson"),
-                )
+                _in_worker(write_fd, lambda: _scan(data[start:stop], prepared, config))
             os.close(write_fd)
             workers.append(pid)
         start, stop = cuts[0]
-        scans = [_scan(data[start:stop], prepared, config, "ndjson")]
+        scans = [_scan(data[start:stop], prepared, config)]
         for pipe in pipes:
             with pipe:
                 payload = pipe.read()
@@ -382,9 +379,7 @@ def _merge(scans: list[_Scan], config: AssessmentConfig) -> _Tally:
     return _Tally(total, violations, dup_examples, sensor_index, ts_buffers, dups)
 
 
-def _fold(
-    data: bytes, schema: SchemaDocument, config: AssessmentConfig, fmt: str
-) -> _Tally:
+def _fold(data: bytes, schema: SchemaDocument, config: AssessmentConfig) -> _Tally:
     """Normalise, flag and deduplicate every record.
 
     _cuts splits a large NDJSON source into one block per usable core,
@@ -401,19 +396,17 @@ def _fold(
     malformed.
     """
     prepared = schema.prepared()
-    cuts = _cuts(data, fmt)
+    cuts = _cuts(data, config.dataset_format)
     if len(cuts) == 1 or _SCAN_CALLS != (
         iter_records, parse_timestamp, _flags_for, packet_key_fields
     ):
-        scans = [_scan(data, prepared, config, fmt)]
+        scans = [_scan(data, prepared, config)]
     else:
         scans = _scan_blocks(data, cuts, prepared, config)
     return _merge(scans, config)
 
 
-def sensor_iats(
-    data: bytes, config: AssessmentConfig, format: "str | None" = None
-) -> list[tuple[str, np.ndarray]]:
+def sensor_iats(data: bytes, config: AssessmentConfig) -> list[tuple[str, np.ndarray]]:
     """(sensor_id, IATs in seconds) per sensor, in first-appearance order.
 
     The IATs are those assess() scores: gaps between the sorted timestamps
@@ -422,22 +415,17 @@ def sensor_iats(
     """
     # No violation is read here, so no record runs a value check.
     config = dataclasses.replace(config, format_checks="types_only")
-    tally = _fold(data, _NO_SCHEMA, config, format or config.dataset_format)
+    tally = _fold(data, _NO_SCHEMA, config)
     return list(zip(tally.sensor_index, _sensor_iat_arrays(tally.ts_buffers)))
 
 
-def assess(
-    data: bytes,
-    schema: SchemaDocument,
-    config: AssessmentConfig,
-    format: "str | None" = None,
-) -> QualityReport:
+def assess(data: bytes, schema: SchemaDocument, config: AssessmentConfig) -> QualityReport:
     """Assess one dataset; returns the quality report.
 
     Raises DatasetRejectedError when more than half of the records are
     malformed or no valid record remains.
     """
-    tally = _fold(data, schema, config, format or config.dataset_format)
+    tally = _fold(data, schema, config)
     total = tally.total
     if total == 0:
         raise DatasetRejectedError("dataset contains no valid records")
@@ -590,12 +578,9 @@ def assess(
 
 
 def assess_file(
-    data_path: str,
-    schema: SchemaDocument,
-    config: AssessmentConfig,
-    format: "str | None" = None,
+    data_path: str, schema: SchemaDocument, config: AssessmentConfig
 ) -> QualityReport:
     """Assess a dataset file on disk."""
     with open(data_path, "rb") as fh:
         data = fh.read()
-    return assess(data, schema, config, format=format)
+    return assess(data, schema, config)

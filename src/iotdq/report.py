@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping, Sequence
 
-from .errors import AggregationError
+from .errors import AggregationError, load_json
 from .model import (
     DIMENSIONS,
     METRIC_IDS,
@@ -116,13 +116,11 @@ def serialize_report(report: QualityReport) -> bytes:
 def deserialize_report(data: "bytes | str") -> QualityReport:
     """Rebuild a QualityReport from canonical JSON bytes.
 
-    Raises AggregationError, and no other error, for any input that is
-    not a well-formed report.
+    Accepts data only when serialize_report of the result gives the same
+    bytes back (a str is compared as its UTF-8). Raises AggregationError,
+    and no other error, for any input that is not a canonical report.
     """
-    try:
-        doc = json.loads(data)
-    except (ValueError, RecursionError) as exc:
-        raise AggregationError(f"report is not valid JSON: {exc}") from exc
+    doc = load_json(data, AggregationError, "report")
     expected = {
         "version",
         "dataset_fingerprint",
@@ -132,7 +130,7 @@ def deserialize_report(data: "bytes | str") -> QualityReport:
         "weights",
         "aggregate_score",
     }
-    if not isinstance(doc, dict) or set(doc) != expected:
+    if set(doc) != expected:
         raise AggregationError("report does not have the canonical shape")
     try:
         results = [
@@ -145,7 +143,7 @@ def deserialize_report(data: "bytes | str") -> QualityReport:
             )
             for entry in doc["metrics"]
         ]
-        return QualityReport(
+        report = QualityReport(
             per_metric=tuple(results),
             weights_raw=doc["weights"]["raw"],
             weights_normalized=doc["weights"]["normalized"],
@@ -157,3 +155,14 @@ def deserialize_report(data: "bytes | str") -> QualityReport:
         )
     except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise AggregationError(f"report is malformed: {exc!r}") from exc
+    # A report that serializes to other bytes, or not at all (NaN evidence,
+    # raw weights that are not a map), is not the one that was sealed.
+    try:
+        canonical = serialize_report(report)
+    except (ArithmeticError, AttributeError, RecursionError, TypeError, ValueError):
+        canonical = None
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    if canonical != data:
+        raise AggregationError("report is not in canonical form")
+    return report

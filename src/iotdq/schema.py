@@ -7,14 +7,13 @@ The schema syntax is a strict subset of JSON Schema: top-level keys
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Pattern
 
-from .errors import SchemaError
+from .errors import SchemaError, load_json
 
 __all__ = ["FORMAT_KINDS", "AttributeSpec", "SchemaDocument", "parse_schema"]
 
@@ -194,13 +193,10 @@ def _value_faults(
 def parse_schema(source: "bytes | str | Mapping[str, Any]") -> SchemaDocument:
     """Parse a JSON schema document, rejecting invariant violations."""
     if isinstance(source, (bytes, bytearray, str)):
-        try:
-            doc = json.loads(source)
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(f"schema is not valid JSON: {exc}") from exc
-    else:
+        doc = load_json(source, SchemaError, "schema")
+    elif isinstance(source, Mapping):
         doc = source
-    if not isinstance(doc, Mapping):
+    else:
         raise SchemaError("schema must be a JSON object")
     for key in doc:
         if key not in _TOP_KEYWORDS:

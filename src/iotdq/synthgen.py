@@ -19,7 +19,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GenSpecError
+from .errors import ConfigError, GenSpecError, load_json
 from .schema import SchemaDocument, parse_schema
 
 __all__ = [
@@ -107,14 +107,7 @@ class GenSpec:
 
     @classmethod
     def from_json(cls, data: "bytes | str") -> "GenSpec":
-        try:
-            doc = json.loads(data)
-        except ValueError as exc:
-            raise GenSpecError(f"spec is not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise GenSpecError("spec JSON is nested too deeply") from exc
-        if not isinstance(doc, dict):
-            raise GenSpecError("spec must be a JSON object")
+        doc = load_json(data, GenSpecError, "spec")
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known - {"schema"}
         if unknown:
@@ -168,21 +161,6 @@ class GroundTruth:
             "expected_scores": self.expected_scores,
         }
         return json.dumps(doc, indent=2, sort_keys=True).encode("utf-8") + b"\n"
-
-    @classmethod
-    def from_json(cls, data: "bytes | str") -> "GroundTruth":
-        doc = json.loads(data)
-        return cls(
-            packets_total=doc["packets_total"],
-            iat_total=doc["iat_total"],
-            duplicates=doc["duplicates"],
-            outlier_iats=doc["outlier_iats"],
-            missing_mandatory=doc["missing_mandatory"],
-            unknown_attrs=doc["unknown_attrs"],
-            format_errors=doc["format_errors"],
-            sentinel_values=tuple(doc["sentinel_values"]),
-            per_sensor=doc["per_sensor"],
-        )
 
 
 def _sensor_plan(spec: GenSpec, schema: SchemaDocument) -> tuple[int, int, int, int, int]:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import AttestationError
+from ..errors import AttestationError, load_json
 
 __all__ = ["AttestationStub", "compute_code_hash"]
 
@@ -56,11 +56,11 @@ class AttestationStub:
         """Parse a published stub; raises AttestationError unless code_hash
         is 64 lowercase hex characters and enclave_public_key is the
         base64 of exactly 32 bytes."""
+        doc = load_json(data, AttestationError, "attestation stub")
         try:
-            doc = json.loads(data)
             code_hash = doc["code_hash"]
             public_key = base64.b64decode(doc["enclave_public_key"], validate=True)
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise AttestationError(f"malformed attestation stub: {exc}") from exc
         if not (type(code_hash) is str and _CODE_HASH.fullmatch(code_hash)):
             raise AttestationError("malformed attestation stub: bad code_hash")

@@ -30,16 +30,10 @@ _REQUEST_TIMEOUT = 30.0  # seconds to connect, and between bytes of an answer
 
 
 class ProxyClient:
-    """Thin HTTP wrapper; optionally captures every response for audits."""
+    """Thin HTTP wrapper holding one session with the proxy."""
 
-    def __init__(
-        self,
-        base_url: str,
-        token: str,
-        capture: "list[tuple[str, str, int, bytes]] | None" = None,
-    ) -> None:
+    def __init__(self, base_url: str, token: str) -> None:
         self.base_url = base_url.rstrip("/")
-        self.capture = capture
         self._session = requests.Session()
         self._session.headers["Authorization"] = f"Bearer {token}"
         # The environment is read here, once: a session that trusts it
@@ -69,8 +63,6 @@ class ProxyClient:
             )
         except requests.RequestException as exc:
             raise WorkflowError(f"proxy unreachable: {exc}") from exc
-        if self.capture is not None:
-            self.capture.append((method, path, response.status_code, response.content))
         return response
 
     def expect(

@@ -32,10 +32,8 @@ _POLL_SECONDS = 0.2  # wait after a claim finds the queue empty
 class EnclaveRunner:
     """One simulated enclave bound to a proxy."""
 
-    def __init__(
-        self, proxy_addr: str, token: str, keypair: "KeyPair | None" = None
-    ) -> None:
-        self.keypair = keypair or KeyPair.generate()
+    def __init__(self, proxy_addr: str, token: str) -> None:
+        self.keypair = KeyPair.generate()
         self.code_hash = compute_code_hash()
         self.client = ProxyClient(proxy_addr, token)
 

@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from .attestation import AttestationStub
-from .sealing import envelope_key_ids
-from ..errors import AttestationError, SealingError
+from .sealing import envelope_key_ids, write_private
+from ..errors import AttestationError, SealingError, WorkflowError, load_json
 
 __all__ = [
     "CONTENT_KINDS",
@@ -350,10 +350,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _json_body(self, *keys: str) -> dict[str, Any]:
         """The body as a JSON object holding every one of keys, else 400."""
         try:
-            doc = json.loads(self._body())
-        except (ValueError, RecursionError):
-            doc = None
-        if not isinstance(doc, dict) or not all(key in doc for key in keys):
+            doc = load_json(self._body(), WorkflowError, "body")
+        except WorkflowError:
+            doc = {}
+        if not all(key in doc for key in keys):
             raise _Refusal(400, f"body must be a JSON object with {', '.join(keys)}")
         return doc
 
@@ -469,12 +469,10 @@ class ProxyServer(ThreadingHTTPServer):
         self._by_secret = {t.token: t for t in self._tokens.values()}
         self._thread: "threading.Thread | None" = None
         credentials = {role: t.token for role, t in self._tokens.items()}
-        # Bearer tokens, so owner-only; fchmod also narrows an existing file.
-        path = self.store.root / "credentials.json"
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        os.fchmod(fd, 0o600)
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(json.dumps(credentials, sort_keys=True).encode("utf-8"))
+        write_private(
+            self.store.root / "credentials.json",
+            json.dumps(credentials, sort_keys=True).encode("utf-8"),
+        )
 
     @property
     def base_url(self) -> str:

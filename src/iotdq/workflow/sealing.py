@@ -35,7 +35,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from ..errors import SealingError
 
-__all__ = ["MAGIC", "KeyPair", "key_id", "seal", "unseal"]
+__all__ = ["MAGIC", "KeyPair", "key_id", "seal", "unseal", "write_private"]
 
 MAGIC = b"SDQ1"
 KEY_ID_BYTES = 8
@@ -47,6 +47,15 @@ _INFO = b"iotdq sealed object v1"
 _HEADER_BYTES = 4 + KEY_ID_BYTES + KEY_ID_BYTES + SALT_BYTES + PUBLIC_KEY_BYTES
 _GCM_NONCE = b"\x00" * 12
 _TAG_BYTES = 16
+
+
+def write_private(path: "str | os.PathLike[str]", data: bytes) -> None:
+    """Write data to path, readable and writable by the owner only."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with os.fdopen(fd, "wb") as fh:
+        # The mode above applies only to a new file; narrow an existing one.
+        os.fchmod(fd, 0o600)
+        fh.write(data)
 
 
 def key_id(public_bytes: bytes) -> bytes:
@@ -79,11 +88,7 @@ class KeyPair:
             return cls.from_private_bytes(fh.read())
 
     def save(self, path: str) -> None:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        # The mode above applies only to a new file; narrow an existing one.
-        os.fchmod(fd, 0o600)
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(self.private.private_bytes_raw())
+        write_private(path, self.private.private_bytes_raw())
 
     @property
     def key_id(self) -> bytes:

@@ -254,21 +254,16 @@ class TestAcceptance:
                 for sentinel in sentinels:
                     assert sentinel.encode() not in blob, path
 
-            capture: list[tuple[str, str, int, bytes]] = []
-            assessor = ProxyClient(
-                server.base_url, server.token_for("assessor"), capture=capture
-            )
-            assessor.request("GET", "/attestation")
-            assessor.request("GET", f"/assessments/{assessment_id}")
-            assert (
-                assessor.request(
-                    "GET", f"/objects/{submitted.dataset_id}"
-                ).status_code
-                == 403
-            )
-            for _method, _path, _status, body in capture:
+            assessor = ProxyClient(server.base_url, server.token_for("assessor"))
+            responses = [
+                assessor.request("GET", "/attestation"),
+                assessor.request("GET", f"/assessments/{assessment_id}"),
+                assessor.request("GET", f"/objects/{submitted.dataset_id}"),
+            ]
+            assert responses[-1].status_code == 403
+            for response in responses:
                 for sentinel in sentinels:
-                    assert sentinel.encode() not in body
+                    assert sentinel.encode() not in response.content
 
             recipient = KeyPair.generate()
             denied = 0

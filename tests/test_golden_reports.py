@@ -213,8 +213,8 @@ def test_report_bytes_are_pinned(case: tuple[str, str, str, str]) -> None:
         duplicate_key=duplicate_key,
         format_checks=format_checks,
         mode_scope=mode_scope,
+        dataset_format="json_array" if name == "array" else "ndjson",
     )
-    fmt = "json_array" if name == "array" else "ndjson"
-    report = assess(_dataset(name), SCHEMA, config, format=fmt)
+    report = assess(_dataset(name), SCHEMA, config)
     digest = hashlib.sha256(serialize_report(report)).hexdigest()
     assert digest == GOLDEN[case]

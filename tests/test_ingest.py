@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ndjson_bytes
-from iotdq.errors import DatasetRejectedError, IngestFormatError
+from iotdq.errors import ConfigError, DatasetRejectedError, IngestFormatError
 from iotdq.ingest import iter_records, parse_timestamp
 from iotdq.model import AssessmentConfig
 from iotdq.pipeline import assess, sensor_iats
@@ -97,7 +98,7 @@ def _float_path(value: int) -> int:
 
 
 def _report(data: bytes, config: AssessmentConfig = CFG, fmt: str = "ndjson"):
-    return assess(data, NO_SCHEMA, config, format=fmt)
+    return assess(data, NO_SCHEMA, replace(config, dataset_format=fmt))
 
 
 def _valid_count(data: bytes, config: AssessmentConfig = CFG, fmt: str = "ndjson") -> int:
@@ -216,7 +217,7 @@ class TestCsv:
 
     def test_header_only_yields_nothing(self) -> None:
         assert list(iter_records(b"id,ts\n", "csv")) == []
-        assert sensor_iats(b"id,ts\n", CFG, format="csv") == []
+        assert sensor_iats(b"id,ts\n", replace(CFG, dataset_format="csv")) == []
 
     def test_field_over_the_csv_limit_is_a_malformed_row(self) -> None:
         data = b"id,ts,note\na,0," + b"x" * 200_000 + b"\na,60,fine\n"
@@ -257,7 +258,8 @@ class TestJsonArray:
     def test_unknown_format_rejected(self) -> None:
         with pytest.raises(IngestFormatError, match="unknown"):
             list(iter_records(b"", "parquet"))
-        with pytest.raises(IngestFormatError, match="unknown"):
+        # The config refuses the format before assess reads a byte.
+        with pytest.raises(ConfigError, match="dataset_format"):
             _report(b"", fmt="parquet")
 
 

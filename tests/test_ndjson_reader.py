@@ -234,7 +234,7 @@ def test_too_deeply_nested_json_array_is_a_format_error() -> None:
     with pytest.raises(IngestFormatError, match="nested too deeply"):
         list(iter_records(b"[" + _DEEP + b"]", "json_array"))
     with pytest.raises(IngestFormatError, match="nested too deeply"):
-        assess(b"[" + _DEEP + b"]", SCHEMA, AssessmentConfig(), format="json_array")
+        assess(b"[" + _DEEP + b"]", SCHEMA, AssessmentConfig(dataset_format="json_array"))
 
 
 _TOKENS = [
@@ -465,7 +465,7 @@ def test_full_checks_on_memo_hits_match_oracle(rows, duplicate_key: str) -> None
 def test_memo_hit_digests_match_flattened_attributes(rows) -> None:
     data = _plan_data(rows)
     config = AssessmentConfig(format_checks="full", duplicate_key="full_packet")
-    scan = iotdq.pipeline._scan(data, _PLAN_SCHEMA.prepared(), config, "ndjson")
+    scan = iotdq.pipeline._scan(data, _PLAN_SCHEMA.prepared(), config)
     want = b"".join(
         packet_key_fields(
             record["sensor_id"],

@@ -10,6 +10,7 @@ import itertools
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +147,7 @@ class TestFoldMatchesModularComposition:
             records = [json.loads(line) for line in data.splitlines()]
             array = json.dumps(records).encode()
             for source, fmt in ((data, "ndjson"), (array, "json_array")):
-                report = assess(source, EDGE_SCHEMA, config, format=fmt)
+                report = assess(source, EDGE_SCHEMA, replace(config, dataset_format=fmt))
                 want = reference_scores(source, EDGE_SCHEMA, config, fmt)
                 assert_scores_match(report, want)
 
@@ -234,9 +235,9 @@ class TestFoldMatchesModularComposition:
 
         config = AssessmentConfig()
         reports = [
-            assess(nd, SCHEMA, config, format="ndjson"),
-            assess(ja, SCHEMA, config, format="json_array"),
-            assess(cv, SCHEMA, config, format="csv"),
+            assess(nd, SCHEMA, config),
+            assess(ja, SCHEMA, replace(config, dataset_format="json_array")),
+            assess(cv, SCHEMA, replace(config, dataset_format="csv")),
         ]
         for metric_id in ("M1", "M2", "M3", "M4", "M5", "M6"):
             scores = {r.score(metric_id) for r in reports}

@@ -248,13 +248,20 @@ _nodes = st.one_of(
 
 class TestDeserializeFuzz:
     @settings(max_examples=400, deadline=None)
-    @given(where=st.integers(min_value=0, max_value=len(_PATHS) - 1), value=_nodes)
-    def test_only_package_errors_escape(self, where: int, value) -> None:
+    @given(
+        where=st.integers(min_value=0, max_value=len(_PATHS) - 1),
+        value=_nodes,
+        compact=st.booleans(),
+    )
+    def test_only_package_errors_escape(self, where: int, value, compact) -> None:
         doc = _replaced(json.loads(_CANONICAL), _PATHS[where], value)
+        separators = (",", ":") if compact else None
+        data = json.dumps(doc, separators=separators).encode() + b"\n"
         try:
-            deserialize_report(json.dumps(doc))
+            report = deserialize_report(data)
         except IotDqError:
-            pass
+            return
+        assert serialize_report(report) == data
 
     @pytest.mark.parametrize(
         "doc",
@@ -270,3 +277,21 @@ class TestDeserializeFuzz:
         full.update(doc)
         with pytest.raises(AggregationError):
             deserialize_report(json.dumps(full))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("metrics", 0, "evidence", "nan"), float("nan")),
+            (("weights", "raw"), 3),
+        ],
+    )
+    def test_reports_that_do_not_serialize_back_are_refused(self, path, value) -> None:
+        doc = _replaced(json.loads(_CANONICAL), path, value)
+        data = json.dumps(doc, separators=(",", ":")) + "\n"
+        with pytest.raises(AggregationError, match="canonical form"):
+            deserialize_report(data)
+
+    def test_canonical_text_is_accepted_as_its_utf8(self) -> None:
+        assert serialize_report(deserialize_report(_CANONICAL.decode())) == _CANONICAL
+        with pytest.raises(AggregationError, match="canonical form"):
+            deserialize_report(_CANONICAL.rstrip(b"\n"))

@@ -12,7 +12,7 @@ from iotdq.errors import ConfigError, GenSpecError
 from iotdq.model import AssessmentConfig
 from iotdq.pipeline import assess, sensor_iats
 from iotdq.schema import parse_schema
-from iotdq.synthgen import DEFAULT_SCHEMA, GenSpec, GroundTruth, generate, iat_histogram
+from iotdq.synthgen import DEFAULT_SCHEMA, GenSpec, generate, iat_histogram
 
 SCHEMA = parse_schema(DEFAULT_SCHEMA)
 
@@ -124,10 +124,6 @@ class TestBookkeeping:
         [(_sensor, iats)] = sensor_iats(data, AssessmentConfig())
         assert (iats >= 60.0 * 0.8 - 0.001).all()
         assert (iats <= 60.0 * 1.2 + 0.001).all()
-
-    def test_ground_truth_json_round_trip(self) -> None:
-        _, truth = generate(self.SPEC, SCHEMA)
-        assert GroundTruth.from_json(truth.to_json()) == truth
 
     def test_spec_json_round_trip(self) -> None:
         assert GenSpec.from_json(self.SPEC.to_json()) == self.SPEC

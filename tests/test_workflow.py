@@ -450,17 +450,16 @@ class TestEndToEnd:
             for sentinel in sentinels:
                 assert sentinel.encode() not in content, path
 
-        capture: list[tuple[str, str, int, bytes]] = []
-        assessor = ProxyClient(
-            proxy.base_url, proxy.token_for("assessor"), capture=capture
-        )
-        assessor.request("GET", "/attestation")
-        assessor.request("GET", f"/assessments/{assessment_id}")
-        denied = assessor.request("GET", f"/objects/{submitted.dataset_id}")
-        assert denied.status_code == 403
-        for _method, _path, _status, body in capture:
+        assessor = ProxyClient(proxy.base_url, proxy.token_for("assessor"))
+        responses = [
+            assessor.request("GET", "/attestation"),
+            assessor.request("GET", f"/assessments/{assessment_id}"),
+            assessor.request("GET", f"/objects/{submitted.dataset_id}"),
+        ]
+        assert responses[-1].status_code == 403
+        for response in responses:
             for sentinel in sentinels:
-                assert sentinel.encode() not in body
+                assert sentinel.encode() not in response.content
 
     def test_two_queued_assessments_processed_in_order(
         self, proxy: ProxyServer
