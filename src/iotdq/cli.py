@@ -12,7 +12,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from .errors import (
     DatasetRejectedError,
@@ -196,8 +196,16 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits 1: its own 2 means a rejected dataset."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iotdq",
         description="Data-quality scoring for static time-series IoT datasets.",
     )

@@ -46,7 +46,6 @@ _DIGIT_RUN = b":" + b"0" * 20
 _scan_once = json.JSONDecoder().scan_once
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_MISSING = object()
 
 
 def parse_timestamp(value: Any) -> int:
@@ -209,38 +208,37 @@ def iter_records(source: bytes, format: str) -> Iterator["Mapping[str, Any] | No
     """
     if format == "ndjson":
         yield from _iter_ndjson(source)
-        return
-    if format == "csv":
+    elif format == "csv":
         try:
             text = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise IngestFormatError(f"CSV source is not UTF-8: {exc}") from exc
-        reader = csv.DictReader(
-            io.StringIO(text, newline=""), restkey=None, restval=_MISSING
-        )
+        rows = csv.reader(io.StringIO(text, newline=""))
         try:
-            if reader.fieldnames is None:
-                return
+            header = next(rows, None)
         except csv.Error as exc:
             raise IngestFormatError(f"CSV header is unreadable: {exc}") from exc
+        if header is None:
+            return
         while True:
             try:
-                row = next(reader)
+                row = next(rows)
             except StopIteration:
                 return
             except csv.Error:
                 # A field over the size limit, say; reading resumes at the next row.
+                row = None
+            if row is None or len(row) > len(header):
                 yield None
-                continue
-            if None in row:  # more fields than the header
-                yield None
-                continue
-            yield {
-                k: _coerce_csv_value(v) for k, v in row.items() if v is not _MISSING
-            }
-    if format == "json_array":
+            elif row:  # a blank line is []
+                record = {k: _coerce_csv_value(v) for k, v in zip(header, row)}
+                # A short row lacks every name of its absent fields, even one
+                # that a present field repeats.
+                for key in header[len(row) :]:
+                    record.pop(key, None)
+                yield record
+    elif format == "json_array":
         for record in load_json(source, IngestFormatError, "source", list):
             yield record if isinstance(record, dict) else None
-        return
-    raise IngestFormatError(f"unknown dataset format: {format!r}")
-
+    else:
+        raise IngestFormatError(f"unknown dataset format: {format!r}")

@@ -199,7 +199,7 @@ def _scan(data: bytes, prepared: tuple, config: AssessmentConfig) -> _Scan:
             continue
 
         if verdict is None:
-            detail = _flags_for(attrs, prepared, False)
+            detail = _flags_for(attrs, prepared)
             plan = _value_plan(attrs, prepared) if full_checks else ()
             verdict = (detail, _hits(detail), plan)
             if not nested and len(memo) < _MEMO_CAP:

@@ -132,14 +132,14 @@ def _type_ok(value: Any, declared: str) -> bool:
 
 
 def _flags_for(
-    attributes: Mapping[str, Any],
-    prepared: tuple[tuple[str, ...], dict[str, tuple]],
-    full_checks: bool,
+    attributes: Mapping[str, Any], prepared: tuple[tuple[str, ...], dict[str, tuple]]
 ) -> tuple[tuple[str, str], ...]:
-    """(attribute, kind) per violation of one packet; empty when it is clean.
+    """(attribute, kind) per missing, unknown, null or wrongly typed attribute
+    of one packet; empty when it is clean.
 
-    The only verdict implementation; METRIC_OF_KIND names each kind's metric.
-    Under full checks the range and pattern kinds follow the others.
+    The only implementation of these verdicts; METRIC_OF_KIND names each
+    kind's metric. The range and pattern checks are _value_plan's and
+    _value_faults'.
     """
     mandatory, lookup = prepared
     detail = [(name, "missing") for name in mandatory if name not in attributes]
@@ -151,8 +151,6 @@ def _flags_for(
             detail.append((name, "null"))
         elif not _type_ok(value, spec[0]):
             detail.append((name, "type"))
-    if full_checks:
-        detail += _value_faults(attributes, _value_plan(attributes, prepared))
     return tuple(detail)
 
 

@@ -12,7 +12,7 @@ import requests
 
 from .attestation import AttestationStub
 from .sealing import KeyPair, seal, unseal
-from ..errors import AttestationError, ReportNotReady, WorkflowError
+from ..errors import AttestationError, ReportNotReady, WorkflowError, load_json
 from ..model import QualityReport
 from ..report import deserialize_report
 
@@ -90,7 +90,7 @@ class ProxyClient:
         if reply_key:
             headers["X-Reply-Key"] = reply_key
         response = self.expect("PUT", "/objects", (201,), envelope, headers)
-        return response.json()["object_id"]
+        return answer_fields(response, "object_id")["object_id"]
 
     def get_object(self, object_id: str) -> tuple[bytes, dict[str, str]]:
         response = self.expect("GET", f"/objects/{object_id}", (200,))
@@ -100,6 +100,16 @@ class ProxyClient:
             "reply_public_key": response.headers.get("X-Reply-Key", ""),
         }
         return response.content, meta
+
+
+def answer_fields(response: requests.Response, *keys: str) -> dict[str, Any]:
+    """The proxy's answer as a JSON object holding a string under each of
+    keys; raises WorkflowError on any other answer."""
+    doc = load_json(response.content, WorkflowError, "proxy answer")
+    for key in keys:
+        if not isinstance(doc.get(key), str):
+            raise WorkflowError(f"proxy answer has no string {key!r}")
+    return doc
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,7 +186,7 @@ def assessor_request(
         }
     ).encode("utf-8")
     response = client.expect("POST", "/assessments", (201,), body)
-    return response.json()["assessment_id"]
+    return answer_fields(response, "assessment_id")["assessment_id"]
 
 
 def assessment_status(
@@ -184,7 +194,7 @@ def assessment_status(
 ) -> dict[str, Any]:
     client = ProxyClient(proxy_addr, token)
     response = client.expect("GET", f"/assessments/{assessment_id}", (200,))
-    return response.json()
+    return answer_fields(response, "state")
 
 
 def assessee_fetch_report(

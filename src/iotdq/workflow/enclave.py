@@ -14,7 +14,7 @@ import logging
 import time
 
 from .attestation import AttestationStub, compute_code_hash
-from .clients import ProxyClient
+from .clients import ProxyClient, answer_fields
 from .sealing import KeyPair, seal, unseal
 from ..errors import WorkflowError
 from ..model import AssessmentConfig
@@ -49,7 +49,7 @@ class EnclaveRunner:
         response = self.client.expect("POST", "/assessments/claim", (200, 204))
         if response.status_code == 204:
             return None
-        record = response.json()
+        record = answer_fields(response, "assessment_id")
         assessment_id = record["assessment_id"]
         try:
             report_id = self._process(record)
@@ -63,7 +63,13 @@ class EnclaveRunner:
 
     def serve_forever(self) -> None:
         while True:
-            if self.run_once() is None:
+            try:
+                state = self.run_once()
+            except WorkflowError as exc:
+                # The proxy is down or answered nonsense: claim again later.
+                logger.warning("no assessment processed: %s", exc)
+                state = None
+            if state is None:
                 time.sleep(_POLL_SECONDS)
 
     def _complete(

@@ -503,10 +503,13 @@ def proxy_serve(
 ) -> None:
     """Run the proxy in the foreground; prints the per-role tokens."""
     host, _, port_text = bind_addr.partition(":")
+    port_text = port_text or "0"
+    if not (port_text.isascii() and port_text.isdigit()) or int(port_text) > 65535:
+        raise WorkflowError(f"bind address {bind_addr!r} needs a port of 0-65535")
     server = ProxyServer(
         store_dir,
         host=host or "127.0.0.1",
-        port=int(port_text or "0"),
+        port=int(port_text),
         max_object_bytes=max_object_bytes,
     )
     print(f"proxy listening on {server.base_url}")

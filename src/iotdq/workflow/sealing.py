@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import struct
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
@@ -44,7 +45,11 @@ PUBLIC_KEY_BYTES = 32
 ANONYMOUS_SENDER = b"\x00" * KEY_ID_BYTES
 
 _INFO = b"iotdq sealed object v1"
-_HEADER_BYTES = 4 + KEY_ID_BYTES + KEY_ID_BYTES + SALT_BYTES + PUBLIC_KEY_BYTES
+# magic, recipient key id, sender key id, salt, ephemeral public key
+_HEADER = struct.Struct(
+    f"4s{KEY_ID_BYTES}s{KEY_ID_BYTES}s{SALT_BYTES}s{PUBLIC_KEY_BYTES}s"
+)
+_HEADER_BYTES = _HEADER.size
 _GCM_NONCE = b"\x00" * 12
 _TAG_BYTES = 16
 
@@ -101,6 +106,18 @@ def _derive(shared: bytes, salt: bytes) -> bytes:
     ).derive(shared)
 
 
+def _header_fields(envelope: bytes) -> tuple[bytes, ...]:
+    """(recipient key id, sender key id, salt, ephemeral public key) of an
+    envelope; raises SealingError when it is too short for a header and a
+    tag, or its magic is not MAGIC."""
+    if len(envelope) < _HEADER_BYTES + _TAG_BYTES:
+        raise SealingError("envelope too short")
+    magic, *fields = _HEADER.unpack_from(envelope)
+    if magic != MAGIC:
+        raise SealingError("not a sealed envelope (bad magic)")
+    return tuple(fields)
+
+
 def seal(
     plaintext: bytes,
     recipient_public: bytes,
@@ -114,12 +131,12 @@ def seal(
     ephemeral = X25519PrivateKey.generate()
     shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient_public))
     salt = os.urandom(SALT_BYTES)
-    header = (
-        MAGIC
-        + key_id(recipient_public)
-        + sender_key_id
-        + salt
-        + ephemeral.public_key().public_bytes_raw()
+    header = _HEADER.pack(
+        MAGIC,
+        key_id(recipient_public),
+        sender_key_id,
+        salt,
+        ephemeral.public_key().public_bytes_raw(),
     )
     ciphertext = AESGCM(_derive(shared, salt)).encrypt(_GCM_NONCE, plaintext, header)
     return header + ciphertext
@@ -127,16 +144,9 @@ def seal(
 
 def unseal(envelope: bytes, keypair: KeyPair) -> bytes:
     """Open a sealed envelope; raises SealingError on any failure."""
-    if len(envelope) < _HEADER_BYTES + _TAG_BYTES:
-        raise SealingError("envelope too short")
-    if envelope[:4] != MAGIC:
-        raise SealingError("not a sealed envelope (bad magic)")
-    recipient = envelope[4 : 4 + KEY_ID_BYTES]
+    recipient, _sender, salt, ephemeral_public = _header_fields(envelope)
     if recipient != keypair.key_id:
         raise SealingError("envelope is sealed to a different key")
-    base = 4 + 2 * KEY_ID_BYTES
-    salt = envelope[base : base + SALT_BYTES]
-    ephemeral_public = envelope[base + SALT_BYTES : _HEADER_BYTES]
     header = envelope[:_HEADER_BYTES]
     try:
         shared = keypair.private.exchange(
@@ -154,8 +164,5 @@ def unseal(envelope: bytes, keypair: KeyPair) -> bytes:
 
 def envelope_key_ids(envelope: bytes) -> tuple[str, str]:
     """(recipient, sender) key ids as hex; validates the envelope frame."""
-    if len(envelope) < _HEADER_BYTES + _TAG_BYTES or envelope[:4] != MAGIC:
-        raise SealingError("not a sealed envelope")
-    recipient = envelope[4 : 4 + KEY_ID_BYTES]
-    sender = envelope[4 + KEY_ID_BYTES : 4 + 2 * KEY_ID_BYTES]
+    recipient, sender, _salt, _ephemeral = _header_fields(envelope)
     return recipient.hex(), sender.hex()

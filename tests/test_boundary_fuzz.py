@@ -7,7 +7,8 @@ errors.load_json, the one place that turns a JSON decode failure into the
 package's own error. Any input they cannot use must surface as an
 IotDqError, never as a RecursionError, TypeError or other leak. The last
 test holds the package to that one loader: json.loads is called nowhere
-else but where the program reads one NDJSON line or its own bytes.
+else but where the program reads one NDJSON line or its own bytes, and
+no HTTP answer is decoded with its .json().
 """
 
 from __future__ import annotations
@@ -147,5 +148,8 @@ def test_json_loads_is_called_only_by_the_loader_and_known_readers() -> None:
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 assert "loads" not in {a.name for a in node.names}, path
+            # A response's .json() decodes outside the loader as well.
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "json":
+                raise AssertionError(f"{path}:{node.lineno} calls .json()")
         callers.update(_json_loads_callers(tree, module))
     assert callers == _JSON_LOADS_CALLERS

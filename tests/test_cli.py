@@ -272,6 +272,40 @@ class TestMisc:
             main(["--version"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("argv", [["--help"], ["assess", "--help"]])
+    def test_help_exits_0(self, capsys, argv: list[str]) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: iotdq" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["assess", "--data", "x"],
+            [],
+            ["bogus"],
+            ["assess", "--data", "x", "--schema", "y", "--format", "xml"],
+            ["histogram", "--data", "x", "--bin-width", "wide"],
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv: list[str]) -> None:
+        # 2 is kept for a rejected dataset.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: iotdq") and "error:" in err
+
+    @pytest.mark.parametrize("bind", ["127.0.0.1:abc", "127.0.0.1:-1", ":65536"])
+    def test_unusable_bind_port_exits_1(self, tmp_path, capsys, bind: str) -> None:
+        store = tmp_path / "store"
+        assert main(["proxy", "--store", str(store), "--bind", bind]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bind address {bind!r} needs a port of 0-65535\n"
+        )
+        assert not store.exists()
+
 
 _DEEP = b"[" * 100_000  # far past the interpreter's recursion limit
 

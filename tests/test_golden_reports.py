@@ -1,8 +1,9 @@
 """Pinned sha256 of canonical report bytes: the report is a byte contract.
 
 Each case scores a small generated dataset (as NDJSON, as NDJSON with a
-tail of hand-written edge-case lines, or as a JSON array) under one
-combination of duplicate_key x format_checks x mode_scope. A change to ingestion, schema verdicts,
+tail of hand-written edge-case lines, as a JSON array, or as CSV with a
+tail of hand-written edge-case rows) under one combination of
+duplicate_key x format_checks x mode_scope. A change to ingestion, schema verdicts,
 duplicate detection or the IAT metrics that alters any report byte
 fails here; the hashes are only updated for a deliberate change of the
 report contract.
@@ -10,7 +11,9 @@ report contract.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import itertools
 import json
 
@@ -101,6 +104,49 @@ _EDGE_TAIL = b"\n".join(
 ) + b"\n"
 
 
+# Rows after the generated records' CSV, whose header is sensor_id,
+# timestamp, count, ok, pm25, status, temperature, unexpected_debug.
+_CSV_TAIL = b"".join(
+    [
+        # A quoted cell holding a newline, after a CRLF row end.
+        b'sensor-0001,%d,7,false,12.5,"sentinel-two\nlines",20.0,\r\n' % (_T0 + 30_000),
+        # A quoted "12\n" reads as the integer 12, "1.5\n" as the float 1.5.
+        b'sensor-0001,%d,"12\n",False,"1.5\n",sentinel-tail,20.0,\n' % (_T0 + 95_000),
+        b"sensor-0001,%d,7,TRUE,12.5,sentinel-tail,20.0,\n" % (_T0 + 155_000),
+        b"sensor-0001,%d,True,FALSE,12.5,sentinel-tail,20.0,\n" % (_T0 + 215_000),
+        # An empty cell is null.
+        b"sensor-0001,%d,7,false,,sentinel-tail,20.0,\r\n" % (_T0 + 275_000),
+        # A short row lacks its last fields; a row with an extra field is
+        # malformed.
+        b"sensor-0001,%d,7\n" % (_T0 + 335_000),
+        b"sensor-0001,%d,7,false,12.5,sentinel-tail,20.0,,extra\n" % (_T0 + 395_000),
+        # Blank lines, with each line end.
+        b"\n\r\n\r",
+        b"solo,2026-01-01T00:01:00Z,7,false,12.5,sentinel-tail,20.0,\r\n",
+        b"solo,2026-01-01T00:02:00.5+00:00,8,true,13.5,no-match,-50,\r",
+        b'42,%d,"7",false,12.5,"sentinel-""q"", a",20.0,1\r\n' % _T0,
+        b"42,%d,7,false,900,sentinel-tail,20.0,\n" % (_T0 + 60_000),
+        b"sensor-0002,1767225620.5,7,false,12.5,sentinel-tail,20.0,\n",
+        b",%d,7,false,12.5,sentinel-tail,20.0,\n" % _T0,
+        b"sensor-0001,yesterday,7,false,12.5,sentinel-tail,20.0,\n",
+        # A quote left open runs to the end of the source.
+        b'sensor-0001,%d,7,false,12.5,"sentinel-open' % (_T0 + 455_000),
+    ]
+)
+
+
+def _csv(ndjson: bytes) -> bytes:
+    """The records of ndjson, written by csv.DictWriter over the union of
+    their keys."""
+    records = [json.loads(line) for line in ndjson.splitlines()]
+    fieldnames = list(dict.fromkeys(key for record in records for key in record))
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(records)
+    return out.getvalue().encode("utf-8")
+
+
 def _dataset(name: str) -> bytes:
     spec = GenSpec(
         sensor_count=3,
@@ -117,6 +163,8 @@ def _dataset(name: str) -> bytes:
     data, _truth = generate(spec, SCHEMA)
     if name == "array":
         return b"[" + b",".join(data.splitlines()) + b"]"
+    if name == "csv":
+        return _csv(data) + _CSV_TAIL
     return data + _EDGE_TAIL if name == "edge" else data
 
 
@@ -193,11 +241,35 @@ GOLDEN: dict[tuple[str, str, str, str], str] = {
     ('array', 'full_packet', 'full', 'dataset'): (
         "299bed5787eb13068f430aaaaf9a68e94ed54eda0202b0c38b8d9b49b518166f"
     ),
+    ('csv', 'id_timestamp', 'types_only', 'per_sensor'): (
+        "e79c6d76ce456a44745513c2329da9c0c81a77014c550f2b40c0409dd5a566f3"
+    ),
+    ('csv', 'id_timestamp', 'types_only', 'dataset'): (
+        "10bb6a2103d55a289d87022034ba4a250f3f76618fde2a78bb2a7fdf11a32aa0"
+    ),
+    ('csv', 'id_timestamp', 'full', 'per_sensor'): (
+        "9869b6cfe753ad1b96eb0a14f925634f68a47c6f58ab2e3a20fc81ec17c02ff8"
+    ),
+    ('csv', 'id_timestamp', 'full', 'dataset'): (
+        "67c0f33bb7c7ce20834160434eec414b83b2dac322661e50918cf093e6eb0692"
+    ),
+    ('csv', 'full_packet', 'types_only', 'per_sensor'): (
+        "4f765e829ca5fa0bed37de3d873e271160e930e07fe9bf790b84e02dec8de1d1"
+    ),
+    ('csv', 'full_packet', 'types_only', 'dataset'): (
+        "bbb676224122a9221a517ac662c243fde4a6f03ac140c774c302350ca671e418"
+    ),
+    ('csv', 'full_packet', 'full', 'per_sensor'): (
+        "ab198b66091bf5125857ccdf792591c628ee03358d0698857847b0a60f1f1eb0"
+    ),
+    ('csv', 'full_packet', 'full', 'dataset'): (
+        "7cdf1d02ee35aefa30133cc069c21d76f4351b3722b8b3389c6e5f70d7c7db7b"
+    ),
 }
 
 CASES = list(
     itertools.product(
-        ("generated", "edge", "array"),
+        ("generated", "edge", "array", "csv"),
         ("id_timestamp", "full_packet"),
         ("types_only", "full"),
         ("per_sensor", "dataset"),
@@ -213,7 +285,7 @@ def test_report_bytes_are_pinned(case: tuple[str, str, str, str]) -> None:
         duplicate_key=duplicate_key,
         format_checks=format_checks,
         mode_scope=mode_scope,
-        dataset_format="json_array" if name == "array" else "ndjson",
+        dataset_format={"array": "json_array", "csv": "csv"}.get(name, "ndjson"),
     )
     report = assess(_dataset(name), SCHEMA, config)
     digest = hashlib.sha256(serialize_report(report)).hexdigest()

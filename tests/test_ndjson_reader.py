@@ -28,7 +28,7 @@ from iotdq.ingest import _iter_ndjson, iter_records, parse_timestamp
 from iotdq.metrics_iat import packet_key_fields
 from iotdq.model import AssessmentConfig
 from iotdq.pipeline import assess
-from iotdq.schema import FORMAT_KINDS, parse_schema
+from iotdq.schema import FORMAT_KINDS, _value_faults, _value_plan, parse_schema
 from iotdq.synthgen import DEFAULT_SCHEMA
 from reference import assert_scores_match, reference_scores
 
@@ -454,7 +454,9 @@ def test_full_checks_on_memo_hits_match_oracle(rows, duplicate_key: str) -> None
     per_attribute: dict = {}
     for record in iter_records(data, "ndjson"):
         attrs, _ = iotdq.pipeline._attributes(record, "timestamp", "sensor_id")
-        for name, kind in iotdq.pipeline._flags_for(attrs, prepared, True):
+        detail = iotdq.pipeline._flags_for(attrs, prepared)
+        faults = _value_faults(attrs, _value_plan(attrs, prepared))
+        for name, kind in (*detail, *faults):
             if kind in FORMAT_KINDS:
                 per_attribute[name] = per_attribute.get(name, 0) + 1
     assert report.result("M6").evidence["by_attribute"] == per_attribute

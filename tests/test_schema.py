@@ -18,6 +18,8 @@ from iotdq.schema import (
     AttributeSpec,
     SchemaDocument,
     _flags_for,
+    _value_faults,
+    _value_plan,
     parse_schema,
 )
 
@@ -45,7 +47,12 @@ class Verdict(NamedTuple):
 
 
 def _judge(attributes: dict, checks: str = "types_only") -> Verdict:
-    detail = _flags_for(attributes, _schema().prepared(), checks == "full")
+    """The fold's verdict: _flags_for's, then under full checks the value
+    checks of _value_plan run by _value_faults."""
+    prepared = _schema().prepared()
+    detail = _flags_for(attributes, prepared)
+    if checks == "full":
+        detail += tuple(_value_faults(attributes, _value_plan(attributes, prepared)))
     metrics = {METRIC_OF_KIND[kind] for _name, kind in detail}
     return Verdict("M4" in metrics, "M5" in metrics, "M6" in metrics, detail)
 
