@@ -22,7 +22,7 @@ from .errors import (
     load_json,
 )
 from .model import DIMENSIONS, METRIC_IDS, AssessmentConfig
-from .pipeline import assess, sensor_iats
+from .pipeline import assess_file, sensor_iats
 from .report import serialize_report
 from .schema import parse_schema
 from .synthgen import DEFAULT_SCHEMA, GenSpec, generate, iat_histogram
@@ -77,7 +77,7 @@ def _load_config(args: argparse.Namespace) -> AssessmentConfig:
 def cmd_assess(args: argparse.Namespace) -> int:
     config = _load_config(args)
     schema = parse_schema(_read(args.schema))
-    report = assess(_read(args.data), schema, config)
+    report = assess_file(args.data, schema, config)
     payload = serialize_report(report)
     if args.out:
         _write(args.out, payload)

@@ -3,9 +3,10 @@
 NDJSON lines are decoded with orjson, one line's bytes at a time; a line
 orjson cannot be trusted with is read by the standard library's scanner
 and, failing that, by json.loads, so every record is what json.loads
-gives on that line. CSV and JSON arrays are read with the standard
-library. A malformed record is yielded as None: nothing reads why it
-failed.
+gives on that line. NDJSON is read a block at a time through one reader
+of offsets, _Source: a slice of bytes in memory, or os.pread of an open
+file. CSV and JSON arrays are read whole with the standard library. A
+malformed record is yielded as None: nothing reads why it failed.
 
 Timestamps are normalized to integer epoch milliseconds. Numeric values
 below 1e11 are read as epoch seconds (fractions allowed), larger ones as
@@ -18,9 +19,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 from datetime import datetime, timezone
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 from .errors import IngestFormatError, load_json
 
@@ -31,6 +33,8 @@ _EPOCH_MS_FLOOR_INT = int(_EPOCH_MS_FLOOR)
 _EXACT_INT = 1 << 53  # integers below this magnitude are exact as floats
 _INT64 = 1 << 63  # timestamps are kept as int64 milliseconds
 _BLOCK_BYTES = 4 << 20  # NDJSON masking unit; each block ends after a newline
+_PROBE_BYTES = 4 << 10  # first read when looking for the end of a line
+_FILE_CHANGED = "dataset file changed while it was assessed"
 # Valid JSON nested d deep takes at least 2d bytes, so a shorter line stays
 # far below the depth at which json.loads raises RecursionError. orjson 3.8
 # decodes a closed line 100,000 deep that json.loads refuses, and crashes
@@ -87,6 +91,52 @@ def parse_timestamp(value: Any) -> int:
     raise ValueError(f"unsupported timestamp type {type(value).__name__}")
 
 
+class _Source(NamedTuple):
+    """Bytes start to stop of a dataset, got through read(start, stop): a
+    slice of bytes in memory, or os.pread of an open file."""
+
+    read: Callable[[int, int], bytes]
+    start: int
+    stop: int
+
+
+def _in_memory(data: bytes) -> _Source:
+    return _Source(lambda start, stop: data[start:stop], 0, len(data))
+
+
+def _in_file(fd: int, size: int) -> _Source:
+    """The first size bytes of the file open at fd, read with os.pread,
+    which leaves the fd's offset alone, so forked workers can share the fd.
+    A read raises IngestFormatError when the file ends before size."""
+
+    def read(start: int, stop: int) -> bytes:
+        parts = []
+        while start < stop:
+            data = os.pread(fd, stop - start, start)
+            if not data:
+                raise IngestFormatError(_FILE_CHANGED)
+            parts.append(data)
+            start += len(data)
+        return b"".join(parts)  # no copy when one read got it all
+
+    return _Source(read, 0, size)
+
+
+def _line_end(source: _Source, at: int) -> int:
+    """The offset just past source's first newline at or after at, or
+    source.stop if there is none. Each read doubles, so a long line takes
+    few reads."""
+    probe = _PROBE_BYTES
+    while at < source.stop:
+        chunk = source.read(at, min(at + probe, source.stop))
+        found = chunk.find(b"\n")
+        if found >= 0:
+            return at + found + 1
+        at += len(chunk)
+        probe *= 2
+    return source.stop
+
+
 def _coerce_csv_value(text: str) -> Any:
     if text == "":
         return None
@@ -134,7 +184,7 @@ def _lines_holding_digit_run(masked: bytes, count: int, at: int) -> Iterator[boo
 
 
 def _iter_ndjson(
-    source: bytes, block_bytes: int = _BLOCK_BYTES
+    source: "bytes | _Source", block_bytes: int = _BLOCK_BYTES
 ) -> Iterator["dict | None"]:
     """NDJSON records, or None for a malformed one, each line decoded by orjson.
 
@@ -145,8 +195,10 @@ def _iter_ndjson(
     reader turns whole into a dict (one orjson raises on, whitespace orjson
     rejects, a BOM, another encoding, invalid UTF-8, NaN, bad JSON) goes to
     _ndjson_line. So every record, and every None, is what json.loads gives
-    on the line's bytes. The source is walked in blocks of about
-    block_bytes, cut after newlines. A block is masked whole, and the lines
+    on the line's bytes. The source is read in blocks of at least
+    block_bytes, each cut just after a newline (a line longer than a block
+    grows its block until the line ends), so no more than a block of the
+    source is held at once. A block is masked whole, and the lines
     holding its matches of _DIGIT_RUN are found in that mask, so no line is
     masked twice; a block whose lines average _TRUSTED_LINE_BYTES or more,
     which skip orjson anyway, is not masked whole, only its shorter lines
@@ -159,11 +211,12 @@ def _iter_ndjson(
     loads = orjson.loads
     decode_error = orjson.JSONDecodeError
     scan = _scan_once
-    start = 0
-    size = len(source)
-    while start < size:
-        cut = source.find(b"\n", start + block_bytes - 1) + 1 or size
-        block = source[start:cut]
+    if not isinstance(source, _Source):
+        source = _in_memory(source)
+    start = source.start
+    while start < source.stop:
+        cut = _line_end(source, start + block_bytes - 1)
+        block = source.read(start, cut)
         start = cut
         lines = block.splitlines()
         guarded: "Iterator[bool] | None" = None  # per line: skips orjson
@@ -200,15 +253,21 @@ def _iter_ndjson(
         del lines  # not held beside the next block's
 
 
-def iter_records(source: bytes, format: str) -> Iterator["Mapping[str, Any] | None"]:
+def iter_records(
+    source: "bytes | _Source", format: str
+) -> Iterator["Mapping[str, Any] | None"]:
     """Yield one item per record of raw bytes: the record, or None if malformed.
 
     Records are the non-blank NDJSON lines, the CSV rows and the JSON
-    array's elements, in order.
+    array's elements, in order. NDJSON is read a block at a time; CSV and
+    JSON arrays are decoded whole.
     """
     if format == "ndjson":
         yield from _iter_ndjson(source)
-    elif format == "csv":
+        return
+    if isinstance(source, _Source):
+        source = source.read(source.start, source.stop)
+    if format == "csv":
         try:
             text = source.decode("utf-8")
         except UnicodeDecodeError as exc:

@@ -18,7 +18,9 @@ and yields each sensor's sorted timestamps; under full_packet the rows
 of each run of equal (sensor, timestamp) are then sorted by digest. A
 large NDJSON source is cut at newlines into one block per usable core,
 and every block but the first is scanned in a forked worker process;
-any other source is one block.
+any other source is one block. Each process reads only its own block,
+through ingest's one reader of offsets: a slice of bytes in memory, or
+os.pread of a file, so that assess_file never holds an NDJSON file whole.
 
 Records arrive from ingest.iter_records, which decodes NDJSON lines with
 orjson (the C scanner or json.loads where orjson cannot be trusted).
@@ -43,15 +45,25 @@ import logging
 import os
 import pickle
 import signal
+import stat
 from array import array
 from collections import Counter
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, BinaryIO, Callable, NamedTuple, NoReturn
 
 import numpy as np
 
 from . import _kernels
-from .errors import DatasetRejectedError, DegenerateIatError
-from .ingest import iter_records, parse_timestamp
+from .errors import DatasetRejectedError, DegenerateIatError, IngestFormatError
+from .ingest import (
+    _FILE_CHANGED,
+    _in_file,
+    _in_memory,
+    _line_end,
+    _Source,
+    iter_records,
+    parse_timestamp,
+)
 from .metrics_iat import (
     EVIDENCE_CAP,
     estimate_mode,
@@ -79,6 +91,7 @@ _MEMO_CAP = 1 << 12  # distinct record signatures whose counter keys are kept
 # On a 2-core VM a 2 MiB source took 75 ms in one process and 94 ms in
 # two, 3 MiB broke even, and 4 MiB took 132 ms in two against 209 ms in one.
 _BLOCK_MIN_BYTES = 2 << 20
+_HASH_BYTES = 1 << 20  # read size of a file's fingerprint
 # What the scan calls, as bound at import; see _fold.
 _SCAN_CALLS = (iter_records, parse_timestamp, _flags_for, packet_key_fields)
 _NO_SCHEMA = SchemaDocument(attributes={}, mandatory=frozenset())
@@ -148,8 +161,10 @@ class _Tally(NamedTuple):
     dups: list[int]  # duplicates per sensor
 
 
-def _scan(data: bytes, prepared: tuple, config: AssessmentConfig) -> _Scan:
-    """Normalise and flag every record of data, in record order."""
+def _scan(
+    source: "bytes | _Source", prepared: tuple, config: AssessmentConfig
+) -> _Scan:
+    """Normalise and flag every record of source, in record order."""
     full_checks = config.format_checks == "full"
     ts_field = config.timestamp_field
     sid_field = config.sensor_id_field
@@ -169,7 +184,7 @@ def _scan(data: bytes, prepared: tuple, config: AssessmentConfig) -> _Scan:
     # signature runs under full checks. Under types_only the plan is empty.
     memo: dict[tuple, tuple] = {}
 
-    for record in iter_records(data, config.dataset_format):
+    for record in iter_records(source, config.dataset_format):
         if record is None:
             malformed += 1
             continue
@@ -228,26 +243,28 @@ def _scan(data: bytes, prepared: tuple, config: AssessmentConfig) -> _Scan:
     )
 
 
-def _cuts(data: bytes, fmt: str) -> list[tuple[int, int]]:
-    """(start, stop) of each block to scan.
+def _cuts(source: _Source, fmt: str) -> list[tuple[int, int]]:
+    """(start, stop) of each block of source to scan.
 
     NDJSON is cut just after newlines into up to one block per usable
-    core, none planned smaller than _BLOCK_MIN_BYTES. Anything else is one
-    block: CSV may hold newlines inside quoted fields, and a JSON array is
-    one document.
+    core, none planned smaller than _BLOCK_MIN_BYTES; each cut is found by
+    a small read near its planned offset. Anything else is one block: CSV
+    may hold newlines inside quoted fields, and a JSON array is one
+    document.
     """
-    size = len(data)
+    start, stop = source.start, source.stop
+    size = stop - start
     count = 1
     # Platforms with sched_getaffinity have fork.
     if fmt == "ndjson" and hasattr(os, "sched_getaffinity"):
         count = min(len(os.sched_getaffinity(0)), size // _BLOCK_MIN_BYTES)
-    bounds = [0]
+    bounds = [start]
     for k in range(1, count):
-        cut = data.find(b"\n", max(bounds[-1], size * k // count)) + 1
-        if not 0 < cut < size:
+        cut = _line_end(source, max(bounds[-1], start + size * k // count))
+        if cut >= stop:
             break
         bounds.append(cut)
-    bounds.append(size)
+    bounds.append(stop)
     return list(zip(bounds, bounds[1:]))
 
 
@@ -269,19 +286,25 @@ def _in_worker(write_fd: int, work: Callable[[], Any]) -> NoReturn:
 
 
 def _scan_blocks(
-    data: bytes, cuts: list[tuple[int, int]], prepared: tuple, config: AssessmentConfig
+    source: _Source,
+    cuts: list[tuple[int, int]],
+    prepared: tuple,
+    config: AssessmentConfig,
+    forked: Callable[[], Any],
 ) -> list[_Scan]:
-    """The scans of the NDJSON blocks data[start:stop], in block order.
+    """The scans of the NDJSON blocks (start, stop) of source, in block order.
 
     This process scans the first block; every other block is scanned in a
-    forked worker, which pickles its scan back over a pipe. Workers are
-    reaped before this returns or raises, and a worker's exception is
-    raised here.
+    forked worker, which reads its own range of source and pickles its
+    scan back over a pipe. forked is called once every worker is forked.
+    Workers are reaped before this returns or raises, and a worker's
+    exception is raised here.
     """
     pipes: list[BinaryIO] = []
     workers: list[int] = []  # pids not yet reaped, in block order
     try:
         for start, stop in cuts[1:]:
+            block = source._replace(start=start, stop=stop)
             read_fd, write_fd = os.pipe()
             pipes.append(open(read_fd, "rb"))
             try:
@@ -290,11 +313,12 @@ def _scan_blocks(
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _in_worker(write_fd, lambda: _scan(data[start:stop], prepared, config))
+                _in_worker(write_fd, lambda: _scan(block, prepared, config))
             os.close(write_fd)
             workers.append(pid)
+        forked()
         start, stop = cuts[0]
-        scans = [_scan(data[start:stop], prepared, config)]
+        scans = [_scan(source._replace(start=start, stop=stop), prepared, config)]
         for pipe in pipes:
             with pipe:
                 payload = pipe.read()
@@ -379,7 +403,12 @@ def _merge(scans: list[_Scan], config: AssessmentConfig) -> _Tally:
     return _Tally(total, violations, dup_examples, sensor_index, ts_buffers, dups)
 
 
-def _fold(data: bytes, schema: SchemaDocument, config: AssessmentConfig) -> _Tally:
+def _fold(
+    source: _Source,
+    schema: SchemaDocument,
+    config: AssessmentConfig,
+    forked: Callable[[], Any] = lambda: None,
+) -> _Tally:
     """Normalise, flag and deduplicate every record.
 
     _cuts splits a large NDJSON source into one block per usable core,
@@ -390,19 +419,21 @@ def _fold(data: bytes, schema: SchemaDocument, config: AssessmentConfig) -> _Tal
     parse_timestamp, _flags_for, packet_key_fields) has been replaced at
     run time, as a tracer or a test does to time or count its calls: the
     calls made in a forked worker would not reach the replacement's
-    counters.
+    counters. forked is called before this process scans, once every
+    worker is forked, so that it may start a thread.
 
     Raises DatasetRejectedError when more than half of the records are
     malformed.
     """
     prepared = schema.prepared()
-    cuts = _cuts(data, config.dataset_format)
+    cuts = _cuts(source, config.dataset_format)
     if len(cuts) == 1 or _SCAN_CALLS != (
         iter_records, parse_timestamp, _flags_for, packet_key_fields
     ):
-        scans = [_scan(data, prepared, config)]
+        forked()
+        scans = [_scan(source, prepared, config)]
     else:
-        scans = _scan_blocks(data, cuts, prepared, config)
+        scans = _scan_blocks(source, cuts, prepared, config, forked)
     return _merge(scans, config)
 
 
@@ -415,7 +446,7 @@ def sensor_iats(data: bytes, config: AssessmentConfig) -> list[tuple[str, np.nda
     """
     # No violation is read here, so no record runs a value check.
     config = dataclasses.replace(config, format_checks="types_only")
-    tally = _fold(data, _NO_SCHEMA, config)
+    tally = _fold(_in_memory(data), _NO_SCHEMA, config)
     return list(zip(tally.sensor_index, _sensor_iat_arrays(tally.ts_buffers)))
 
 
@@ -425,7 +456,13 @@ def assess(data: bytes, schema: SchemaDocument, config: AssessmentConfig) -> Qua
     Raises DatasetRejectedError when more than half of the records are
     malformed or no valid record remains.
     """
-    tally = _fold(data, schema, config)
+    tally = _fold(_in_memory(data), schema, config)
+    return _score(tally, hashlib.sha256(data).hexdigest(), config)
+
+
+def _score(tally: _Tally, fingerprint: str, config: AssessmentConfig) -> QualityReport:
+    """The quality report of a fold's tally; raises DatasetRejectedError
+    when no valid record remains."""
     total = tally.total
     if total == 0:
         raise DatasetRejectedError("dataset contains no valid records")
@@ -571,16 +608,52 @@ def assess(data: bytes, schema: SchemaDocument, config: AssessmentConfig) -> Qua
     return aggregate(
         results,
         config.weights,
-        dataset_fingerprint=hashlib.sha256(data).hexdigest(),
+        dataset_fingerprint=fingerprint,
         created_at=config.created_at,
         per_sensor=per_sensor,
     )
 
 
+def _sha256(source: _Source) -> str:
+    digest = hashlib.sha256()
+    for start in range(source.start, source.stop, _HASH_BYTES):
+        digest.update(source.read(start, min(start + _HASH_BYTES, source.stop)))
+    return digest.hexdigest()
+
+
+def _identity(st: os.stat_result) -> tuple[int, ...]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
 def assess_file(
     data_path: str, schema: SchemaDocument, config: AssessmentConfig
 ) -> QualityReport:
-    """Assess a dataset file on disk."""
+    """Assess a dataset file on disk.
+
+    A regular NDJSON file is never held whole: this process and each
+    forked worker read their own blocks of it with os.pread, and a thread
+    started once the workers are forked takes the fingerprint over 1 MiB
+    reads. Any other file (CSV, a JSON array, a FIFO) is read whole and
+    assessed as assess() does. Raises IngestFormatError when the file
+    changes while it is assessed, and DatasetRejectedError as assess()
+    does.
+    """
     with open(data_path, "rb") as fh:
-        data = fh.read()
-    return assess(data, schema, config)
+        before = os.fstat(fh.fileno())
+        if config.dataset_format != "ndjson" or not stat.S_ISREG(before.st_mode):
+            return assess(fh.read(), schema, config)
+        source = _in_file(fh.fileno(), before.st_size)
+        hashed: list[Future] = []
+        # Started only once the fold has forked: a worker forked while a
+        # thread runs may inherit a lock that thread held, and never see it
+        # released.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+
+            def start_hash() -> None:
+                hashed.append(pool.submit(_sha256, source))
+
+            tally = _fold(source, schema, config, start_hash)
+            fingerprint = hashed[0].result()
+        if _identity(os.fstat(fh.fileno())) != _identity(before):
+            raise IngestFormatError(_FILE_CHANGED)
+    return _score(tally, fingerprint, config)

@@ -90,6 +90,7 @@ class EnclaveRunner:
         reply_public = base64.b64decode(reply_key_b64)
 
         data = unseal(dataset_env, self.keypair)
+        del dataset_env  # not held beside the plaintext while it is assessed
         schema = parse_schema(unseal(schema_env, self.keypair))
         config = AssessmentConfig.from_json(unseal(config_env, self.keypair))
         try:

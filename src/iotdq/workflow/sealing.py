@@ -155,8 +155,9 @@ def unseal(envelope: bytes, keypair: KeyPair) -> bytes:
     except ValueError as exc:  # a low-order point gives an all-zero secret
         raise SealingError("envelope has an invalid ephemeral key") from exc
     try:
+        # Through a memoryview, so that the ciphertext is not copied.
         return AESGCM(_derive(shared, salt)).decrypt(
-            _GCM_NONCE, envelope[_HEADER_BYTES:], header
+            _GCM_NONCE, memoryview(envelope)[_HEADER_BYTES:], header
         )
     except InvalidTag as exc:
         raise SealingError("envelope failed its integrity check") from exc

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import iotdq.pipeline
 from conftest import ndjson_bytes
 from iotdq.cli import main
 from iotdq.model import AssessmentConfig
@@ -104,6 +105,27 @@ class TestAssess:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_dataset_changed_while_assessed_exits_1(
+        self, dataset, capsys, monkeypatch
+    ) -> None:
+        parse = iotdq.pipeline.parse_timestamp
+
+        def appending(value):
+            with open(dataset["data"], "ab") as fh:
+                fh.write(b"\n")
+            return parse(value)
+
+        monkeypatch.setattr(iotdq.pipeline, "parse_timestamp", appending)
+        code = main(
+            [
+                "assess",
+                "--data", str(dataset["data"]),
+                "--schema", str(dataset["schema"]),
+            ]
+        )
+        assert code == 1
+        assert "changed while it was assessed" in capsys.readouterr().err
 
     def test_bad_config_exits_1(self, dataset, capsys) -> None:
         cfg = dataset["tmp"] / "config.json"

@@ -2,8 +2,9 @@
 
 The reader must yield exactly what a per-line json.loads reader yields
 (kept below as _oracle), None for each malformed line included, and no
-line may crash the interpreter. The fold's verdict memo must give the
-verdicts of _flags_for on every record.
+line may crash the interpreter, whether it reads bytes in memory or a
+file through os.pread. The fold's verdict memo must give the verdicts of
+_flags_for on every record.
 """
 
 from __future__ import annotations
@@ -13,18 +14,21 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from decimal import Decimal, localcontext
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iotdq
+import iotdq.ingest
 import iotdq.pipeline
 from conftest import ndjson_bytes
 from iotdq.errors import IngestFormatError
-from iotdq.ingest import _iter_ndjson, iter_records, parse_timestamp
+from iotdq.ingest import _in_file, _iter_ndjson, iter_records, parse_timestamp
 from iotdq.metrics_iat import packet_key_fields
 from iotdq.model import AssessmentConfig
 from iotdq.pipeline import assess
@@ -48,11 +52,23 @@ def _oracle(source: bytes):
             yield record if isinstance(record, dict) else None
 
 
+def _read_from_file(source: bytes, block_bytes: int) -> list:
+    """_iter_ndjson over a temporary file holding source, read with os.pread;
+    the reads that look for the end of a block start at 2 bytes, so that
+    they end inside lines and between \\r and \\n."""
+    with tempfile.TemporaryFile() as fh:
+        fh.write(source)
+        fh.flush()
+        with mock.patch.object(iotdq.ingest, "_PROBE_BYTES", 2):
+            return list(_iter_ndjson(_in_file(fh.fileno(), len(source)), block_bytes))
+
+
 def _assert_same_as_oracle(source: bytes, block_bytes: int) -> None:
     # repr tells 1, 1.0 and True apart and compares NaN equal to itself.
     want = repr(list(_oracle(source)))
     assert repr(list(_iter_ndjson(source, block_bytes))) == want
     assert repr(list(iter_records(source, "ndjson"))) == want
+    assert repr(_read_from_file(source, block_bytes)) == want
 
 
 _OK = b'{"sensor_id":"a","timestamp":60}'
@@ -147,6 +163,19 @@ NAMED = {
             [b"\r\n", b"\r", b"\r\n", b"\n", b"\n", b"\r", b"\r\n", b"\r", b"\r", b""],
         )
     ),  # fmt: skip
+    # A block grows until its line ends.
+    "line_longer_than_a_block": _OK + b"\n" + _OK[:-1] + _LONG_NOTE * 9 + b"\n" + _OK,
+    "cr_only": _OK + b"\r" + b'{"n":%d}' % 2**64 + b"\r\r" + _OK + b"\r",
+    # With every line one byte longer than the last, some \r\n falls across
+    # each edge of a read or block.
+    "crlf_across_read_edges": b"".join(
+        b'{"a":%s}\r\n' % (b"1" * k) for k in range(1, 30)
+    ),
+    "blank_only": b" \n\t\r\n\x0b\r  \n",
+    # An integer past 2**64 on the line just before and just after a cut.
+    "digit_run_at_a_cut": b"".join(
+        _OK[: 1 + k] + b"\n" + b'{"n":%d}\n' % 2**64 for k in range(0, 70, 7)
+    ),
     # Lines averaging over 1024 bytes, so the block is not masked whole.
     "long_lines_around_a_masked_line": b"\n".join(
         [_OK[:-1] + _LONG_NOTE * 3] * 2 + [b'{"n":%d}' % (-(2**63) - 1), _OK]

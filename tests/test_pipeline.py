@@ -9,6 +9,9 @@ import io
 import itertools
 import json
 import os
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -16,9 +19,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import iotdq.ingest
 import iotdq.pipeline
 from conftest import ndjson_bytes
-from iotdq.errors import DatasetRejectedError
+from iotdq.errors import DatasetRejectedError, IngestFormatError
+from iotdq.ingest import _in_file, _in_memory
 from iotdq.model import AssessmentConfig
 from iotdq.pipeline import _cuts, assess, assess_file, sensor_iats
 from iotdq.report import serialize_report
@@ -291,7 +296,7 @@ class TestForkedScan:
 
     @pytest.mark.parametrize("duplicate_key,format_checks,mode_scope", _COMBINATIONS)
     def test_every_config_combination(
-        self, cut_into, duplicate_key: str, format_checks: str, mode_scope: str
+        self, cut_into, tmp_path, duplicate_key: str, format_checks: str, mode_scope: str
     ) -> None:
         config = AssessmentConfig(
             quantization_seconds=60.0,
@@ -301,21 +306,35 @@ class TestForkedScan:
         )
         sources = [_defect_dataset(seed) for seed in range(2)]
         sources.append(b"".join(_BOUNDARY_LINES))
+        path = tmp_path / "data.ndjson"
         for data in sources:
+            path.write_bytes(data)
             cut_into(1)
             one_block = serialize_report(assess(data, EDGE_SCHEMA, config))
             want = reference_scores(data, EDGE_SCHEMA, config, "ndjson")
             for cores in (2, 3, len(_BOUNDARY_LINES)):
                 cut_into(cores)
-                assert len(_cuts(data, "ndjson")) > 1
+                assert len(_cuts(_in_memory(data), "ndjson")) > 1
                 report = assess(data, EDGE_SCHEMA, config)
                 assert serialize_report(report) == one_block
                 assert_scores_match(report, want)
+                # Each process reads its own blocks of the file.
+                by_path = assess_file(str(path), EDGE_SCHEMA, config)
+                assert serialize_report(by_path) == one_block
 
-    def test_cuts_fall_after_newlines(self, cut_into) -> None:
+    def test_cuts_fall_after_newlines(self, cut_into, tmp_path, monkeypatch) -> None:
         data = b"".join(_BOUNDARY_LINES)
         cut_into(len(_BOUNDARY_LINES))
-        cuts = _cuts(data, "ndjson")
+        cuts = _cuts(_in_memory(data), "ndjson")
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(data)
+        # A file's cuts are found by reads that start at one byte and grow.
+        monkeypatch.setattr(iotdq.ingest, "_PROBE_BYTES", 1)
+        with open(path, "rb") as fh:
+            assert _cuts(_in_file(fh.fileno(), len(data)), "ndjson") == cuts
+        config = AssessmentConfig()
+        by_path = assess_file(str(path), EDGE_SCHEMA, config)
+        assert by_path == assess(data, EDGE_SCHEMA, config)
         assert [start for start, _ in cuts[1:]] == [stop for _, stop in cuts[:-1]]
         assert (cuts[0][0], cuts[-1][1]) == (0, len(data))
         blocks = [data[start:stop] for start, stop in cuts]
@@ -355,7 +374,7 @@ class TestForkedScan:
     def test_fewer_lines_than_cores(self, cut_into) -> None:
         data = _line("a", 0) + b"\n" + _line("a", 1) + b"\n"
         cut_into(8)
-        assert len(_cuts(data, "ndjson")) == 2
+        assert len(_cuts(_in_memory(data), "ndjson")) == 2
         report = assess(data, SCHEMA, AssessmentConfig())
         assert report.per_sensor["a"]["iat_count"] == 1
 
@@ -365,7 +384,7 @@ class TestForkedScan:
         cut_into(8)
         # Each malformed line is a block of its own, rejected alone.
         half = b"".join(bad + good)
-        assert len(_cuts(half, "ndjson")) > 4
+        assert len(_cuts(_in_memory(half), "ndjson")) > 4
         assert assess(half, SCHEMA, AssessmentConfig()).result("M3").denominator_count == 4
         with pytest.raises(DatasetRejectedError, match="5 of 9"):
             assess(half + bad[0], SCHEMA, AssessmentConfig())
@@ -461,6 +480,124 @@ class TestForkedScan:
         with pytest.raises(ZeroDivisionError, match="parent block failed"):
             assess(_defect_dataset(0), EDGE_SCHEMA, AssessmentConfig())
         assert time.monotonic() - started < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+_MEMORY_SCRIPT = """
+import json, os, resource, sys
+import numpy, orjson  # the reader imports orjson on first use
+from iotdq.model import AssessmentConfig
+from iotdq.pipeline import assess_file
+from iotdq.schema import parse_schema
+from iotdq.synthgen import DEFAULT_SCHEMA
+
+os.sched_getaffinity = lambda _pid: {0, 1}  # one forked worker on any host
+schema = parse_schema(DEFAULT_SCHEMA)
+baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+report = assess_file(sys.argv[1], schema, AssessmentConfig(quantization_seconds=60.0))
+print(json.dumps({
+    "baseline": baseline,
+    "scoring": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "worker": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+    "records": report.result("M3").denominator_count,
+}))
+"""
+
+
+class TestAssessFile:
+    """assess_file reads a regular NDJSON file in blocks, each process its
+    own, and gives the report assess() gives on the file's bytes."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    def test_memory_scales_with_a_block_not_with_the_file(self, tmp_path) -> None:
+        path = tmp_path / "big.ndjson"
+        # 112 bytes a line, near the 126 of the generated benchmark records:
+        # past a block, memory grows with the record count.
+        line = (
+            '{"sensor_id":"sensor-%02d","timestamp":%d,"pm25":%d.5,'
+            '"temperature":21.5,"humidity":40.25,"status":"ok"}\n'
+        )
+        count = 0
+        with open(path, "w") as fh:
+            while fh.tell() < 32 << 20:
+                step, sensor = divmod(count, 10)
+                fh.write(line % (sensor, 1_767_225_600 + 60 * step, count % 400))
+                count += 1
+        size_kib = path.stat().st_size / 1024
+        child = subprocess.run(
+            [sys.executable, "-c", _MEMORY_SCRIPT, str(path)],
+            capture_output=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": str(Path(iotdq.__file__).parents[1])},
+        )
+        assert child.returncode == 0, child.stderr.decode(errors="replace")
+        peaks = json.loads(child.stdout)
+        assert peaks["records"] == count
+        # The worker's peak counts the pages it shares with the scoring
+        # process after the fork; 0 would mean that nothing was forked.
+        assert peaks["worker"] > 0
+        assert peaks["scoring"] - peaks["baseline"] < size_kib, peaks
+        assert peaks["worker"] - peaks["baseline"] < size_kib / 2, peaks
+
+    def test_fifo_is_read_whole(self, tmp_path) -> None:
+        data = _defect_dataset(0)
+        fifo = tmp_path / "data.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            report = assess_file(str(fifo), EDGE_SCHEMA, AssessmentConfig())
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        want = assess(data, EDGE_SCHEMA, AssessmentConfig())
+        assert serialize_report(report) == serialize_report(want)
+
+    def test_file_appended_to_during_the_fold(self, tmp_path, monkeypatch) -> None:
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(_defect_dataset(0))
+        parse = iotdq.pipeline.parse_timestamp
+        appended: list[int] = []
+
+        def appending(value):
+            # A replaced parse_timestamp also keeps the fold in this process.
+            if not appended:
+                with open(path, "ab") as fh:
+                    appended.append(fh.write(_line("a", 999) + b"\n"))
+            return parse(value)
+
+        monkeypatch.setattr(iotdq.pipeline, "parse_timestamp", appending)
+        with pytest.raises(IngestFormatError, match="changed while it was assessed"):
+            assess_file(str(path), EDGE_SCHEMA, AssessmentConfig())
+        assert appended
+
+    def test_a_read_past_the_end_of_the_file_raises(self, tmp_path) -> None:
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(b"abc")
+        with open(path, "rb") as fh:
+            read = _in_file(fh.fileno(), 5).read
+            assert read(1, 3) == b"bc"
+            with pytest.raises(IngestFormatError, match="changed while it was assessed"):
+                read(0, 5)
+
+    def test_file_cut_short_during_a_forked_fold(
+        self, cut_into, tmp_path, monkeypatch
+    ) -> None:
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(_defect_dataset(0))
+        parent = os.getpid()
+        scan = iotdq.pipeline._scan
+
+        def truncating(*args):
+            if os.getpid() == parent:
+                os.truncate(path, 10)
+            return scan(*args)
+
+        monkeypatch.setattr(iotdq.pipeline, "_scan", truncating)
+        cut_into(3)
+        with pytest.raises(IngestFormatError, match="changed while it was assessed"):
+            assess_file(str(path), EDGE_SCHEMA, AssessmentConfig())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
