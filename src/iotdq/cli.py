@@ -112,7 +112,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_histogram(args: argparse.Namespace) -> int:
     config = _load_config(args)
     lines = ["sensor_id,bin_seconds,count"]
-    for sensor_id, iats in sensor_iats(_read(args.data), config):
+    for sensor_id, iats in sensor_iats(args.data, config):
         for bin_value, count in iat_histogram(iats, args.bin_width):
             lines.append(f"{sensor_id},{bin_value:g},{count}")
     output = ("\n".join(lines) + "\n").encode("utf-8")

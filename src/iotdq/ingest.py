@@ -8,6 +8,12 @@ of offsets, _Source: a slice of bytes in memory, or os.pread of an open
 file. CSV and JSON arrays are read whole with the standard library. A
 malformed record is yielded as None: nothing reads why it failed.
 
+_open_dataset is the only code that opens a dataset file. A regular file
+becomes an os.pread _Source, and its identity (device, inode, size and
+modification time) is checked again when the caller is done with it, so
+a file that changed while it was read raises IngestFormatError. Any other
+file (a FIFO, /dev/stdin from a pipe) is read whole into memory.
+
 Timestamps are normalized to integer epoch milliseconds. Numeric values
 below 1e11 are read as epoch seconds (fractions allowed), larger ones as
 epoch milliseconds; strings are parsed as RFC 3339 / ISO 8601, naive
@@ -16,11 +22,13 @@ times taken as UTC.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
 import re
+import stat
 from datetime import datetime, timezone
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
@@ -120,6 +128,29 @@ def _in_file(fd: int, size: int) -> _Source:
         return b"".join(parts)  # no copy when one read got it all
 
     return _Source(read, 0, size)
+
+
+def _identity(st: os.stat_result) -> tuple[int, ...]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+@contextlib.contextmanager
+def _open_dataset(path: str) -> Iterator[_Source]:
+    """The dataset file at path as a _Source, open for the with block.
+
+    A regular file is read with os.pread (see _in_file) and never whole;
+    on leaving the block without an exception, IngestFormatError is
+    raised if the file's identity changed since it was opened. Any other
+    file is read whole here.
+    """
+    with open(path, "rb") as fh:
+        before = os.fstat(fh.fileno())
+        if not stat.S_ISREG(before.st_mode):
+            yield _in_memory(fh.read())
+            return
+        yield _in_file(fh.fileno(), before.st_size)
+        if _identity(os.fstat(fh.fileno())) != _identity(before):
+            raise IngestFormatError(_FILE_CHANGED)
 
 
 def _line_end(source: _Source, at: int) -> int:

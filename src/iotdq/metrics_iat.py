@@ -15,7 +15,6 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import DegenerateIatError
 from .model import IatModel, MetricResult
 
@@ -62,9 +61,9 @@ def estimate_mode(iats: "Sequence[float] | np.ndarray", quantization: float) -> 
         raise ValueError("quantization must be positive")
     q = float(quantization)
     while True:
-        binned = np.sort(quantize(arr, q))
-        mode, _count = _kernels.mode_of_sorted(binned)
-        mode = float(mode)
+        # The most frequent bin; ties break to the smallest value.
+        values, counts = np.unique(quantize(arr, q), return_counts=True)
+        mode = float(values[int(np.argmax(counts))])
         if mode > 0.0:
             break
         if q <= MIN_QUANTIZATION:
@@ -84,12 +83,9 @@ def z_scores(
     """Modified z-scores against the mode; returns (scores, spread basis)."""
     arr = np.asarray(iats, dtype=np.float64)
     if model.mad > 0.0:
-        return _kernels.mod_z(arr, model.mode, model.mad, MOD_Z_CONSTANT), "mad"
+        return MOD_Z_CONSTANT * (arr - model.mode) / model.mad, "mad"
     if model.fallback_mean_ad and model.fallback_mean_ad > 0.0:
-        return (
-            _kernels.mod_z(arr, model.mode, model.fallback_mean_ad, MEAN_AD_CONSTANT),
-            "mean_ad",
-        )
+        return MEAN_AD_CONSTANT * (arr - model.mode) / model.fallback_mean_ad, "mean_ad"
     return np.zeros(arr.shape[0], dtype=np.float64), "zero_spread"
 
 

@@ -1,4 +1,4 @@
-"""End-to-end assessment of raw dataset bytes.
+"""End-to-end assessment of a dataset, in bytes or in a file.
 
 _fold reads the records and leaves what scoring needs: violation counts,
 per-sensor duplicate counts and each sensor's sorted deduplicated
@@ -6,7 +6,8 @@ timestamps. assess() then runs the IAT metrics on the per-sensor gaps
 and assembles the report; sensor_iats() returns those gaps alone, for
 the histogram command. The fold is the only scoring code: it
 materializes no packet objects, which keeps million-record datasets
-inside a tight time and memory envelope.
+inside a tight time and memory envelope. It also takes the fingerprint,
+through its meanwhile callback.
 
 The fold has two parts. _scan walks the records of one block in order:
 per-record normalisation and schema flags, and per-record key columns
@@ -20,7 +21,8 @@ large NDJSON source is cut at newlines into one block per usable core,
 and every block but the first is scanned in a forked worker process;
 any other source is one block. Each process reads only its own block,
 through ingest's one reader of offsets: a slice of bytes in memory, or
-os.pread of a file, so that assess_file never holds an NDJSON file whole.
+os.pread of a file opened by ingest._open_dataset, so that assess_file
+and sensor_iats never hold a regular NDJSON file whole.
 
 Records arrive from ingest.iter_records, which decodes NDJSON lines with
 orjson (the C scanner or json.loads where orjson cannot be trusted).
@@ -45,21 +47,19 @@ import logging
 import os
 import pickle
 import signal
-import stat
 from array import array
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, BinaryIO, Callable, NamedTuple, NoReturn
 
 import numpy as np
 
 from . import _kernels
-from .errors import DatasetRejectedError, DegenerateIatError, IngestFormatError
+from .errors import DatasetRejectedError, DegenerateIatError
 from .ingest import (
-    _FILE_CHANGED,
-    _in_file,
     _in_memory,
     _line_end,
+    _open_dataset,
     _Source,
     iter_records,
     parse_timestamp,
@@ -278,7 +278,7 @@ def _in_worker(write_fd: int, work: Callable[[], Any]) -> NoReturn:
             outcome = (True, work())
         except Exception as exc:  # the parent raises it
             outcome = (False, exc)
-        with open(write_fd, "wb") as pipe:
+        with os.fdopen(write_fd, "wb") as pipe:
             pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
@@ -290,15 +290,16 @@ def _scan_blocks(
     cuts: list[tuple[int, int]],
     prepared: tuple,
     config: AssessmentConfig,
-    forked: Callable[[], Any],
-) -> list[_Scan]:
-    """The scans of the NDJSON blocks (start, stop) of source, in block order.
+    meanwhile: Callable[[], Any],
+) -> tuple[list[_Scan], Any]:
+    """The scans of the NDJSON blocks (start, stop) of source, in block
+    order, and what meanwhile() returned.
 
     This process scans the first block; every other block is scanned in a
     forked worker, which reads its own range of source and pickles its
-    scan back over a pipe. forked is called once every worker is forked.
-    Workers are reaped before this returns or raises, and a worker's
-    exception is raised here.
+    scan back over a pipe; meanwhile runs in a thread while this process
+    scans. Workers are reaped before this returns or raises, and a
+    worker's exception, or meanwhile's, is raised here.
     """
     pipes: list[BinaryIO] = []
     workers: list[int] = []  # pids not yet reaped, in block order
@@ -306,7 +307,7 @@ def _scan_blocks(
         for start, stop in cuts[1:]:
             block = source._replace(start=start, stop=stop)
             read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
+            pipes.append(os.fdopen(read_fd, "rb"))
             try:
                 pid = os.fork()
             except OSError:
@@ -316,9 +317,13 @@ def _scan_blocks(
                 _in_worker(write_fd, lambda: _scan(block, prepared, config))
             os.close(write_fd)
             workers.append(pid)
-        forked()
-        start, stop = cuts[0]
-        scans = [_scan(source._replace(start=start, stop=stop), prepared, config)]
+        # Started only once every worker is forked: a worker forked while a
+        # thread runs may inherit a lock that thread held, and never see it
+        # released. The pool's with joins the thread on every exit path.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            aside = pool.submit(meanwhile)
+            start, stop = cuts[0]
+            scans = [_scan(source._replace(start=start, stop=stop), prepared, config)]
         for pipe in pipes:
             with pipe:
                 payload = pipe.read()
@@ -330,7 +335,7 @@ def _scan_blocks(
             if not ok:
                 raise result
             scans.append(result)
-        return scans
+        return scans, aside.result()
     finally:
         for pipe in pipes:
             pipe.close()
@@ -407,9 +412,10 @@ def _fold(
     source: _Source,
     schema: SchemaDocument,
     config: AssessmentConfig,
-    forked: Callable[[], Any] = lambda: None,
-) -> _Tally:
-    """Normalise, flag and deduplicate every record.
+    meanwhile: Callable[[], Any] = lambda: None,
+) -> tuple[_Tally, Any]:
+    """Normalise, flag and deduplicate every record; returns the tally and
+    what meanwhile() returned.
 
     _cuts splits a large NDJSON source into one block per usable core,
     _scan_blocks scans the blocks in parallel processes and _merge joins
@@ -419,8 +425,10 @@ def _fold(
     parse_timestamp, _flags_for, packet_key_fields) has been replaced at
     run time, as a tracer or a test does to time or count its calls: the
     calls made in a forked worker would not reach the replacement's
-    counters. forked is called before this process scans, once every
-    worker is forked, so that it may start a thread.
+    counters. meanwhile runs in a thread beside the scan when the fold
+    forks (see _scan_blocks), and here after the scan when it does not: a
+    thread that waits for the interpreter lock behind a short scan may
+    cost it a whole switch interval.
 
     Raises DatasetRejectedError when more than half of the records are
     malformed.
@@ -430,23 +438,26 @@ def _fold(
     if len(cuts) == 1 or _SCAN_CALLS != (
         iter_records, parse_timestamp, _flags_for, packet_key_fields
     ):
-        forked()
         scans = [_scan(source, prepared, config)]
+        aside = meanwhile()
     else:
-        scans = _scan_blocks(source, cuts, prepared, config, forked)
-    return _merge(scans, config)
+        scans, aside = _scan_blocks(source, cuts, prepared, config, meanwhile)
+    return _merge(scans, config), aside
 
 
-def sensor_iats(data: bytes, config: AssessmentConfig) -> list[tuple[str, np.ndarray]]:
+def sensor_iats(
+    data_path: str, config: AssessmentConfig
+) -> list[tuple[str, np.ndarray]]:
     """(sensor_id, IATs in seconds) per sensor, in first-appearance order.
 
-    The IATs are those assess() scores: gaps between the sorted timestamps
-    a sensor keeps after deduplication under config.duplicate_key. Raises
-    DatasetRejectedError when more than half of the records are malformed.
+    The IATs are those assess_file() scores on the file at data_path, read
+    as it reads it: gaps between the sorted timestamps a sensor keeps after
+    deduplication under config.duplicate_key. Raises as assess_file() does.
     """
     # No violation is read here, so no record runs a value check.
     config = dataclasses.replace(config, format_checks="types_only")
-    tally = _fold(_in_memory(data), _NO_SCHEMA, config)
+    with _open_dataset(data_path) as source:
+        tally, _ = _fold(source, _NO_SCHEMA, config)
     return list(zip(tally.sensor_index, _sensor_iat_arrays(tally.ts_buffers)))
 
 
@@ -456,8 +467,35 @@ def assess(data: bytes, schema: SchemaDocument, config: AssessmentConfig) -> Qua
     Raises DatasetRejectedError when more than half of the records are
     malformed or no valid record remains.
     """
-    tally = _fold(_in_memory(data), schema, config)
-    return _score(tally, hashlib.sha256(data).hexdigest(), config)
+    return _assess(_in_memory(data), schema, config)
+
+
+def assess_file(
+    data_path: str, schema: SchemaDocument, config: AssessmentConfig
+) -> QualityReport:
+    """Assess a dataset file on disk; returns the report assess() gives on
+    the file's bytes.
+
+    A regular NDJSON file is never held whole: each process reads its own
+    blocks, and the fingerprint is taken over 1 MiB reads. Raises
+    IngestFormatError when the file changes while it is assessed, and
+    DatasetRejectedError as assess() does.
+    """
+    with _open_dataset(data_path) as source:
+        return _assess(source, schema, config)
+
+
+def _assess(
+    source: _Source, schema: SchemaDocument, config: AssessmentConfig
+) -> QualityReport:
+    return _score(*_fold(source, schema, config, lambda: _sha256(source)), config)
+
+
+def _sha256(source: _Source) -> str:
+    digest = hashlib.sha256()
+    for start in range(source.start, source.stop, _HASH_BYTES):
+        digest.update(source.read(start, min(start + _HASH_BYTES, source.stop)))
+    return digest.hexdigest()
 
 
 def _score(tally: _Tally, fingerprint: str, config: AssessmentConfig) -> QualityReport:
@@ -613,47 +651,3 @@ def _score(tally: _Tally, fingerprint: str, config: AssessmentConfig) -> Quality
         per_sensor=per_sensor,
     )
 
-
-def _sha256(source: _Source) -> str:
-    digest = hashlib.sha256()
-    for start in range(source.start, source.stop, _HASH_BYTES):
-        digest.update(source.read(start, min(start + _HASH_BYTES, source.stop)))
-    return digest.hexdigest()
-
-
-def _identity(st: os.stat_result) -> tuple[int, ...]:
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def assess_file(
-    data_path: str, schema: SchemaDocument, config: AssessmentConfig
-) -> QualityReport:
-    """Assess a dataset file on disk.
-
-    A regular NDJSON file is never held whole: this process and each
-    forked worker read their own blocks of it with os.pread, and a thread
-    started once the workers are forked takes the fingerprint over 1 MiB
-    reads. Any other file (CSV, a JSON array, a FIFO) is read whole and
-    assessed as assess() does. Raises IngestFormatError when the file
-    changes while it is assessed, and DatasetRejectedError as assess()
-    does.
-    """
-    with open(data_path, "rb") as fh:
-        before = os.fstat(fh.fileno())
-        if config.dataset_format != "ndjson" or not stat.S_ISREG(before.st_mode):
-            return assess(fh.read(), schema, config)
-        source = _in_file(fh.fileno(), before.st_size)
-        hashed: list[Future] = []
-        # Started only once the fold has forked: a worker forked while a
-        # thread runs may inherit a lock that thread held, and never see it
-        # released.
-        with ThreadPoolExecutor(max_workers=1) as pool:
-
-            def start_hash() -> None:
-                hashed.append(pool.submit(_sha256, source))
-
-            tally = _fold(source, schema, config, start_hash)
-            fingerprint = hashed[0].result()
-        if _identity(os.fstat(fh.fileno())) != _identity(before):
-            raise IngestFormatError(_FILE_CHANGED)
-    return _score(tally, fingerprint, config)

@@ -29,14 +29,14 @@ def _c12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _canonical(value: Any, sort_keys: bool) -> Any:
+def _canonical(value: Any) -> Any:
+    """value with floats at 12 significant digits and maps sorted by key."""
     if isinstance(value, float):
         return _c12(value)
     if isinstance(value, Mapping):
-        items = sorted(value.items()) if sort_keys else value.items()
-        return {str(k): _canonical(v, sort_keys) for k, v in items}
+        return {str(k): _canonical(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
-        return [_canonical(v, sort_keys) for v in value]
+        return [_canonical(v) for v in value]
     return value
 
 
@@ -83,10 +83,10 @@ def serialize_report(report: QualityReport) -> bytes:
             {
                 "id": r.metric_id,
                 "dimension": DIMENSIONS[r.metric_id],
-                "score": _canonical(r.score, True) if r.score is not None else None,
+                "score": _canonical(r.score),
                 "numerator_count": r.numerator_count,
                 "denominator_count": r.denominator_count,
-                "evidence": _canonical(r.evidence, True),
+                "evidence": _canonical(r.evidence),
             }
         )
     doc = {
@@ -94,11 +94,7 @@ def serialize_report(report: QualityReport) -> bytes:
         "dataset_fingerprint": report.dataset_fingerprint,
         "created_at": report.created_at,
         "metrics": metrics,
-        "per_sensor": (
-            _canonical(report.per_sensor, True)
-            if report.per_sensor is not None
-            else None
-        ),
+        "per_sensor": _canonical(report.per_sensor),
         "weights": {
             "raw": {m: _c12(report.weights_raw.get(m, 0.0)) for m in METRIC_IDS},
             "normalized": {

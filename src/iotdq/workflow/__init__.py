@@ -14,7 +14,7 @@ from .clients import (
     fetch_attestation,
 )
 from .enclave import EnclaveRunner
-from .proxy import AccessToken, ProxyServer, SealedObject, proxy_serve
+from .proxy import AccessToken, ProxyServer, proxy_serve
 from .sealing import KeyPair, seal, unseal
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "EnclaveRunner",
     "AccessToken",
     "ProxyServer",
-    "SealedObject",
     "proxy_serve",
     "KeyPair",
     "seal",

@@ -18,7 +18,7 @@ import re
 import secrets
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -32,7 +32,6 @@ __all__ = [
     "ROLES",
     "ROUTES",
     "AccessToken",
-    "SealedObject",
     "ProxyServer",
     "proxy_serve",
 ]
@@ -101,20 +100,6 @@ class AccessToken:
         return time.time() >= self.expiry
 
 
-@dataclass(frozen=True, slots=True)
-class SealedObject:
-    """Stored ciphertext plus its routing metadata."""
-
-    object_id: str
-    ciphertext: bytes
-    recipient_key_id: str
-    sender_key_id: str
-    content_kind: str
-    created_at: float
-    domain: str = ""
-    reply_public_key: str = ""
-
-
 def _is_object_id(value: Any) -> bool:
     """Whether value has the form of an id that _Store.put_object issues."""
     return isinstance(value, str) and _OBJECT_ID.fullmatch(value) is not None
@@ -139,29 +124,25 @@ class _Store:
 
     def put_object(
         self, kind: str, envelope: bytes, domain: str, reply_public_key: str
-    ) -> SealedObject:
+    ) -> str:
         recipient, sender = envelope_key_ids(envelope)
-        obj = SealedObject(
-            object_id=secrets.token_hex(16),
-            ciphertext=envelope,
-            recipient_key_id=recipient,
-            sender_key_id=sender,
-            content_kind=kind,
-            created_at=time.time(),
-            domain=domain,
-            reply_public_key=reply_public_key,
-        )
-        meta = asdict(obj)
-        del meta["ciphertext"]
+        object_id = secrets.token_hex(16)
+        meta = {
+            "object_id": object_id,
+            "recipient_key_id": recipient,
+            "sender_key_id": sender,
+            "content_kind": kind,
+            "created_at": time.time(),
+            "domain": domain,
+            "reply_public_key": reply_public_key,
+        }
         with self._lock:
+            self._write_atomic(self.objects_dir / f"{object_id}.bin", envelope)
             self._write_atomic(
-                self.objects_dir / f"{obj.object_id}.bin", obj.ciphertext
-            )
-            self._write_atomic(
-                self.objects_dir / f"{obj.object_id}.json",
+                self.objects_dir / f"{object_id}.json",
                 json.dumps(meta, sort_keys=True).encode("utf-8"),
             )
-        return obj
+        return object_id
 
     def object_meta(self, object_id: Any) -> "dict[str, Any] | None":
         """A stored object's fields but the ciphertext, which is not read;
@@ -174,13 +155,13 @@ class _Store:
             return None
         return json.loads(meta_path.read_bytes())
 
-    def get_object(self, object_id: Any) -> "SealedObject | None":
-        """The stored object, or None for any id this store never issued."""
+    def get_object(self, object_id: Any) -> "tuple[bytes, dict[str, Any]] | None":
+        """The stored (envelope, metadata), or None for any id this store
+        never issued."""
         meta = self.object_meta(object_id)
         if meta is None:
             return None
-        ciphertext = (self.objects_dir / f"{object_id}.bin").read_bytes()
-        return SealedObject(ciphertext=ciphertext, **meta)
+        return (self.objects_dir / f"{object_id}.bin").read_bytes(), meta
 
     def set_attestation(self, stub: bytes) -> None:
         with self._lock:
@@ -363,7 +344,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise _Refusal(400, "unknown content kind")
         _admit(token, PUT_SCOPES[kind])
         try:
-            obj = self.server.store.put_object(
+            object_id = self.server.store.put_object(
                 kind,
                 self._body(),
                 domain=self.headers.get("X-Domain", ""),
@@ -371,21 +352,22 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except SealingError as exc:
             raise _Refusal(400, str(exc)) from None
-        self._send_json(201, {"object_id": obj.object_id})
+        self._send_json(201, {"object_id": object_id})
 
     def _get_object(self, token: AccessToken, object_id: str) -> None:
-        obj = self.server.store.get_object(object_id)
-        if obj is None:
+        stored = self.server.store.get_object(object_id)
+        if stored is None:
             raise _Refusal(404, "no such object")
-        _admit(token, GET_SCOPES[obj.content_kind])
+        envelope, meta = stored
+        _admit(token, GET_SCOPES[meta["content_kind"]])
         self._send(
             200,
-            obj.ciphertext,
+            envelope,
             "application/octet-stream",
             (
-                ("X-Content-Kind", obj.content_kind),
-                ("X-Domain", obj.domain),
-                ("X-Reply-Key", obj.reply_public_key),
+                ("X-Content-Kind", meta["content_kind"]),
+                ("X-Domain", meta["domain"]),
+                ("X-Reply-Key", meta["reply_public_key"]),
             ),
         )
 

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from typing import Any, Iterable, Mapping
 
+import numpy as np
 import pytest
 
 from iotdq import parse_schema
+from iotdq.model import AssessmentConfig
+from iotdq.pipeline import sensor_iats
 from iotdq.schema import SchemaDocument
 from iotdq.synthgen import DEFAULT_SCHEMA
 
@@ -15,6 +20,15 @@ from iotdq.synthgen import DEFAULT_SCHEMA
 def ndjson_bytes(records: Iterable[Mapping[str, Any]]) -> bytes:
     lines = [json.dumps(dict(r), separators=(",", ":")) for r in records]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def iats_of(data: bytes, config: AssessmentConfig) -> list[tuple[str, np.ndarray]]:
+    """sensor_iats of a dataset's bytes, written to a temporary file first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return sensor_iats(path, config)
 
 
 @pytest.fixture

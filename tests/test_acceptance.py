@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 import requests
 
-from conftest import ndjson_bytes
+from conftest import iats_of, ndjson_bytes
 from iotdq.model import AssessmentConfig
-from iotdq.pipeline import assess, sensor_iats
+from iotdq.pipeline import assess
 from iotdq.report import aggregate, serialize_report
 from iotdq.schema import parse_schema
 from iotdq.synthgen import DEFAULT_SCHEMA, GenSpec, generate, iat_histogram
@@ -191,7 +191,7 @@ class TestAcceptance:
             )
             data, _truth = generate(spec, SCHEMA)
             config = AssessmentConfig(quantization_seconds=interval)
-            for sensor_id, iats in sensor_iats(data, config):
+            for sensor_id, iats in iats_of(data, config):
                 histogram = iat_histogram(iats, interval)
                 assert histogram
                 dominant = max(histogram, key=lambda pair: pair[1])[0]

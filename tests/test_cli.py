@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,30 @@ class TestHistogram:
             assert main(argv + ["--bin-width", "60"]) == 0
             outputs[key] = capsys.readouterr().out.splitlines()[1:]
         assert outputs == {"id_timestamp": ["a,60,2"], "full_packet": ["a,0,1", "a,60,2"]}
+
+    def test_fifo_gives_the_bytes_of_the_file(self, tmp_path, capsys) -> None:
+        records = [
+            {"sensor_id": f"s{i % 3}", "timestamp": 60 * i + i % 7, "v": i % 2}
+            for i in range(300)
+        ]
+        data = tmp_path / "data.ndjson"
+        data.write_bytes(ndjson_bytes(records + records[::9]))
+        fifo = tmp_path / "data.fifo"
+        os.mkfifo(fifo)
+        argv = ["histogram", "--bin-width", "1", "--data"]
+        assert main([*argv, str(data)]) == 0
+        from_file = capsys.readouterr().out
+        writer = threading.Thread(
+            target=fifo.write_bytes, args=(data.read_bytes(),), daemon=True
+        )
+        writer.start()
+        try:
+            assert main([*argv, str(fifo)]) == 0
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert capsys.readouterr().out == from_file
+        assert len(from_file.splitlines()) > 4
 
     @pytest.mark.parametrize("width", ["0", "-5", "inf", "-inf", "nan"])
     def test_unusable_bin_width_exits_1(self, dataset, capsys, width) -> None:

@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ndjson_bytes
+from conftest import iats_of, ndjson_bytes
 from iotdq.errors import ConfigError, DatasetRejectedError, IngestFormatError
 from iotdq.ingest import iter_records, parse_timestamp
 from iotdq.model import AssessmentConfig
-from iotdq.pipeline import assess, sensor_iats
+from iotdq.pipeline import assess
 from iotdq.schema import parse_schema
 
 CFG = AssessmentConfig()
@@ -217,7 +217,7 @@ class TestCsv:
 
     def test_header_only_yields_nothing(self) -> None:
         assert list(iter_records(b"id,ts\n", "csv")) == []
-        assert sensor_iats(b"id,ts\n", replace(CFG, dataset_format="csv")) == []
+        assert iats_of(b"id,ts\n", replace(CFG, dataset_format="csv")) == []
 
     def test_field_over_the_csv_limit_is_a_malformed_row(self) -> None:
         data = b"id,ts,note\na,0," + b"x" * 200_000 + b"\na,60,fine\n"
@@ -277,11 +277,11 @@ class TestRejectionThreshold:
         with pytest.raises(DatasetRejectedError, match="malformed"):
             _report(self._dataset(4, 5))
         with pytest.raises(DatasetRejectedError, match="malformed"):
-            sensor_iats(self._dataset(4, 5), CFG)
+            iats_of(self._dataset(4, 5), CFG)
 
     def test_empty_source_yields_nothing(self) -> None:
         assert list(iter_records(b"", "ndjson")) == []
-        assert sensor_iats(b"", CFG) == []
+        assert iats_of(b"", CFG) == []
 
     def test_raw_dataset_records_count(self) -> None:
         report = _report(self._dataset(3, 0))
@@ -298,13 +298,13 @@ def _r(sid: str, ms: int, **attrs) -> dict:
 
 def _iats(records: list[dict], duplicate_key: str = "id_timestamp") -> dict:
     config = AssessmentConfig(duplicate_key=duplicate_key)
-    return {sid: iats.tolist() for sid, iats in sensor_iats(ndjson_bytes(records), config)}
+    return {sid: iats.tolist() for sid, iats in iats_of(ndjson_bytes(records), config)}
 
 
 class TestGroupingAndIats:
     def test_first_appearance_order_and_sorting(self) -> None:
         records = [_r("b", 2000), _r("a", 60_000), _r("a", 0), _r("b", 1000)]
-        got = sensor_iats(ndjson_bytes(records), CFG)
+        got = iats_of(ndjson_bytes(records), CFG)
         assert [(sid, iats.tolist()) for sid, iats in got] == [
             ("b", [1.0]),
             ("a", [60.0]),
@@ -340,7 +340,7 @@ class TestGroupingAndIats:
         assert entry["unique_count"] == 3
 
     def test_empty_input_gives_no_streams(self) -> None:
-        assert sensor_iats(b"", CFG) == []
+        assert iats_of(b"", CFG) == []
 
     @settings(max_examples=100, deadline=None)
     @given(

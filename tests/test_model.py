@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ndjson_bytes
+from conftest import iats_of, ndjson_bytes
 from iotdq.errors import AggregationError, ConfigError
 from iotdq.model import (
     DIMENSIONS,
@@ -22,7 +22,7 @@ from iotdq.model import (
     _normalize_weights,
     registry,
 )
-from iotdq.pipeline import assess, sensor_iats
+from iotdq.pipeline import assess
 from iotdq.schema import parse_schema
 
 _T0 = 1_700_000_000_000  # epoch ms
@@ -97,7 +97,7 @@ class TestSensorStream:
     def _stream(self, *ms: int, duplicate_key: str = "id_timestamp"):
         records = [{"sensor_id": "s1", "timestamp": _T0 + t, "v": t} for t in ms]
         config = AssessmentConfig(duplicate_key=duplicate_key)
-        [(_sid, iats)] = sensor_iats(ndjson_bytes(records), config)
+        [(_sid, iats)] = iats_of(ndjson_bytes(records), config)
         return iats, _report(records, duplicate_key).per_sensor["s1"]
 
     def test_iat_length_tracks_unique_count(self) -> None:

@@ -21,11 +21,11 @@ import pytest
 
 import iotdq.ingest
 import iotdq.pipeline
-from conftest import ndjson_bytes
+from conftest import iats_of, ndjson_bytes
 from iotdq.errors import DatasetRejectedError, IngestFormatError
 from iotdq.ingest import _in_file, _in_memory
 from iotdq.model import AssessmentConfig
-from iotdq.pipeline import _cuts, assess, assess_file, sensor_iats
+from iotdq.pipeline import _cuts, assess, assess_file
 from iotdq.report import serialize_report
 from iotdq.schema import parse_schema
 from iotdq.synthgen import DEFAULT_SCHEMA, GenSpec, generate
@@ -232,11 +232,7 @@ class TestFoldMatchesModularComposition:
         records.append(dict(records[5]))
         nd = ndjson_bytes(records)
         ja = json.dumps(records).encode()
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["sensor_id", "timestamp", "pm25", "temperature"])
-        writer.writeheader()
-        writer.writerows(records)
-        cv = buf.getvalue().encode()
+        cv = _csv_bytes(records)
 
         config = AssessmentConfig()
         reports = [
@@ -364,9 +360,9 @@ class TestForkedScan:
         data = _defect_dataset(3)
         config = AssessmentConfig(duplicate_key="full_packet")
         cut_into(3)
-        got = sensor_iats(data, config)
+        got = iats_of(data, config)
         cut_into(1)
-        want = sensor_iats(data, config)
+        want = iats_of(data, config)
         assert [sid for sid, _ in got] == [sid for sid, _ in want]
         for (_sid, a), (_same, b) in zip(got, want):
             assert a.tolist() == b.tolist()
@@ -488,21 +484,64 @@ _MEMORY_SCRIPT = """
 import json, os, resource, sys
 import numpy, orjson  # the reader imports orjson on first use
 from iotdq.model import AssessmentConfig
-from iotdq.pipeline import assess_file
+from iotdq.pipeline import assess_file, sensor_iats
 from iotdq.schema import parse_schema
 from iotdq.synthgen import DEFAULT_SCHEMA
 
 os.sched_getaffinity = lambda _pid: {0, 1}  # one forked worker on any host
 schema = parse_schema(DEFAULT_SCHEMA)
+config = AssessmentConfig(quantization_seconds=60.0)
 baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-report = assess_file(sys.argv[1], schema, AssessmentConfig(quantization_seconds=60.0))
+if sys.argv[2] == "assess_file":
+    records = assess_file(sys.argv[1], schema, config).result("M3").denominator_count
+else:
+    records = sum(iats.size + 1 for _, iats in sensor_iats(sys.argv[1], config))
 print(json.dumps({
     "baseline": baseline,
     "scoring": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     "worker": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
-    "records": report.result("M3").denominator_count,
+    "records": records,
 }))
 """
+
+
+def _peaks_reading_32_mib(tmp_path: Path, function: str) -> tuple[dict, float]:
+    """Peak RSS (KiB) of a fresh process that runs function ("assess_file"
+    or "sensor_iats") on a 32 MiB NDJSON file, and the file's size in KiB."""
+    path = tmp_path / "big.ndjson"
+    # 112 bytes a line, near the 126 of the generated benchmark records:
+    # past a block, memory grows with the record count.
+    line = (
+        '{"sensor_id":"sensor-%02d","timestamp":%d,"pm25":%d.5,'
+        '"temperature":21.5,"humidity":40.25,"status":"ok"}\n'
+    )
+    count = 0
+    with open(path, "w") as fh:
+        while fh.tell() < 32 << 20:
+            step, sensor = divmod(count, 10)
+            fh.write(line % (sensor, 1_767_225_600 + 60 * step, count % 400))
+            count += 1
+    child = subprocess.run(
+        [sys.executable, "-c", _MEMORY_SCRIPT, str(path), function],
+        capture_output=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(iotdq.__file__).parents[1])},
+    )
+    assert child.returncode == 0, child.stderr.decode(errors="replace")
+    peaks = json.loads(child.stdout)
+    assert peaks["records"] == count
+    # The worker's peak counts the pages it shares with the scoring
+    # process after the fork; 0 would mean that nothing was forked.
+    assert peaks["worker"] > 0
+    return peaks, path.stat().st_size / 1024
+
+
+def _csv_bytes(records: list[dict]) -> bytes:
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(records[0]))
+    writer.writeheader()
+    writer.writerows(records)
+    return text.getvalue().encode()
 
 
 class TestAssessFile:
@@ -511,32 +550,7 @@ class TestAssessFile:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
     def test_memory_scales_with_a_block_not_with_the_file(self, tmp_path) -> None:
-        path = tmp_path / "big.ndjson"
-        # 112 bytes a line, near the 126 of the generated benchmark records:
-        # past a block, memory grows with the record count.
-        line = (
-            '{"sensor_id":"sensor-%02d","timestamp":%d,"pm25":%d.5,'
-            '"temperature":21.5,"humidity":40.25,"status":"ok"}\n'
-        )
-        count = 0
-        with open(path, "w") as fh:
-            while fh.tell() < 32 << 20:
-                step, sensor = divmod(count, 10)
-                fh.write(line % (sensor, 1_767_225_600 + 60 * step, count % 400))
-                count += 1
-        size_kib = path.stat().st_size / 1024
-        child = subprocess.run(
-            [sys.executable, "-c", _MEMORY_SCRIPT, str(path)],
-            capture_output=True,
-            timeout=300,
-            env={**os.environ, "PYTHONPATH": str(Path(iotdq.__file__).parents[1])},
-        )
-        assert child.returncode == 0, child.stderr.decode(errors="replace")
-        peaks = json.loads(child.stdout)
-        assert peaks["records"] == count
-        # The worker's peak counts the pages it shares with the scoring
-        # process after the fork; 0 would mean that nothing was forked.
-        assert peaks["worker"] > 0
+        peaks, size_kib = _peaks_reading_32_mib(tmp_path, "assess_file")
         assert peaks["scoring"] - peaks["baseline"] < size_kib, peaks
         assert peaks["worker"] - peaks["baseline"] < size_kib / 2, peaks
 
@@ -555,22 +569,32 @@ class TestAssessFile:
         assert serialize_report(report) == serialize_report(want)
 
     def test_file_appended_to_during_the_fold(self, tmp_path, monkeypatch) -> None:
-        path = tmp_path / "data.ndjson"
-        path.write_bytes(_defect_dataset(0))
+        records = [_edge("a", _T0 + 60 * i) for i in range(20)]
         parse = iotdq.pipeline.parse_timestamp
-        appended: list[int] = []
+        for fmt, data in (
+            ("ndjson", _defect_dataset(0)),
+            ("csv", _csv_bytes(records)),
+            ("json_array", json.dumps(records).encode()),
+        ):
+            path = tmp_path / f"data.{fmt}"
+            path.write_bytes(data)
+            config = AssessmentConfig(dataset_format=fmt)
+            report = assess_file(str(path), EDGE_SCHEMA, config)
+            assert report == assess(data, EDGE_SCHEMA, config)
+            appended: list[int] = []
 
-        def appending(value):
-            # A replaced parse_timestamp also keeps the fold in this process.
-            if not appended:
-                with open(path, "ab") as fh:
-                    appended.append(fh.write(_line("a", 999) + b"\n"))
-            return parse(value)
+            def appending(value):
+                # A replaced parse_timestamp also keeps the fold in this process.
+                if not appended:
+                    with open(path, "ab") as fh:
+                        appended.append(fh.write(b"\n"))
+                return parse(value)
 
-        monkeypatch.setattr(iotdq.pipeline, "parse_timestamp", appending)
-        with pytest.raises(IngestFormatError, match="changed while it was assessed"):
-            assess_file(str(path), EDGE_SCHEMA, AssessmentConfig())
-        assert appended
+            monkeypatch.setattr(iotdq.pipeline, "parse_timestamp", appending)
+            with pytest.raises(IngestFormatError, match="changed while it was assessed"):
+                assess_file(str(path), EDGE_SCHEMA, config)
+            assert appended
+            monkeypatch.undo()
 
     def test_a_read_past_the_end_of_the_file_raises(self, tmp_path) -> None:
         path = tmp_path / "data.ndjson"
@@ -580,6 +604,44 @@ class TestAssessFile:
             assert read(1, 3) == b"bc"
             with pytest.raises(IngestFormatError, match="changed while it was assessed"):
                 read(0, 5)
+
+    def test_only_a_forked_fold_starts_a_thread(
+        self, cut_into, tmp_path, monkeypatch
+    ) -> None:
+        data = _defect_dataset(0)
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(data)
+        started: list[threading.Thread] = []
+        start = threading.Thread.start
+
+        def counting(thread: threading.Thread) -> None:
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        config = AssessmentConfig()
+        want = serialize_report(assess(data, EDGE_SCHEMA, config))
+        assert serialize_report(assess_file(str(path), EDGE_SCHEMA, config)) == want
+        iats_of(data, config)
+        assert started == []
+        cut_into(2)
+        assert serialize_report(assess(data, EDGE_SCHEMA, config)) == want
+        assert len(started) == 1
+
+    def test_only_ingest_opens_a_file(self) -> None:
+        tree = ast.parse(Path(iotdq.pipeline.__file__).read_text())
+        imported = set()
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+            elif isinstance(node, ast.Call):
+                called.add(ast.unparse(node.func))
+        assert "stat" not in imported
+        # The fold's pipe ends are wrapped with os.fdopen, which opens no path.
+        assert not called & {"open", "os.fstat", "os.pread"}
 
     def test_file_cut_short_during_a_forked_fold(
         self, cut_into, tmp_path, monkeypatch
@@ -605,13 +667,18 @@ class TestAssessFile:
 class TestSensorIats:
     """sensor_iats() yields the IATs assess() scores, per sensor."""
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    def test_memory_scales_with_a_block_not_with_the_file(self, tmp_path) -> None:
+        peaks, size_kib = _peaks_reading_32_mib(tmp_path, "sensor_iats")
+        assert peaks["scoring"] - peaks["baseline"] < size_kib, peaks
+
     @pytest.mark.parametrize("duplicate_key", ["id_timestamp", "full_packet"])
     def test_matches_reference_grouping(self, duplicate_key: str) -> None:
         config = AssessmentConfig(duplicate_key=duplicate_key)
         for seed in range(6):
             data = _defect_dataset(seed)
             want, _dups = packet_iats(read_packets(data, config, "ndjson"), duplicate_key)
-            got = sensor_iats(data, config)
+            got = iats_of(data, config)
             assert [sid for sid, _ in got] == list(want)
             for sid, iats in got:
                 assert iats.dtype == np.float64
@@ -620,7 +687,7 @@ class TestSensorIats:
     def test_format_defaults_to_config(self) -> None:
         records = [{"sensor_id": "a", "timestamp": 60 * i} for i in range(3)]
         config = AssessmentConfig(dataset_format="json_array")
-        [(sid, iats)] = sensor_iats(json.dumps(records).encode(), config)
+        [(sid, iats)] = iats_of(json.dumps(records).encode(), config)
         assert sid == "a" and iats.tolist() == [60.0, 60.0]
 
     def test_full_checks_judge_each_signature_once(self, monkeypatch) -> None:
@@ -636,17 +703,17 @@ class TestSensorIats:
             {"sensor_id": "a", "timestamp": 60 * i, "pm25": 1.0} for i in range(100)
         ]
         config = AssessmentConfig(format_checks="full")
-        [(_sid, iats)] = sensor_iats(ndjson_bytes(records), config)
+        [(_sid, iats)] = iats_of(ndjson_bytes(records), config)
         assert iats.tolist() == [60.0] * 99
         # One signature, judged once (pm25 is unknown).
         assert calls == [{"pm25": 1.0}]
 
     def test_empty_source_has_no_sensors(self) -> None:
-        assert sensor_iats(b"", AssessmentConfig()) == []
+        assert iats_of(b"", AssessmentConfig()) == []
 
     def test_majority_malformed_rejected(self) -> None:
         with pytest.raises(DatasetRejectedError, match="malformed"):
-            sensor_iats(b'{"sensor_id":"a","timestamp":0}\n{x\n{y\n', AssessmentConfig())
+            iats_of(b'{"sensor_id":"a","timestamp":0}\n{x\n{y\n', AssessmentConfig())
 
     def test_gaps_beyond_int64_range_are_exact(self) -> None:
         # -9e18 to 9e18 ms wraps around in int64 subtraction.
@@ -656,7 +723,7 @@ class TestSensorIats:
             {"sensor_id": "a", "timestamp": 9 * 10**18 + 61_440},
         ]
         data = ndjson_bytes(records)
-        [(_sid, iats)] = sensor_iats(data, AssessmentConfig())
+        [(_sid, iats)] = iats_of(data, AssessmentConfig())
         assert iats.tolist() == [1.8e16, 61.44]
         report = assess(data, parse_schema({}), AssessmentConfig())
         entry = report.per_sensor["a"]

@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import iats_of
 from iotdq.errors import ConfigError, GenSpecError
 from iotdq.model import AssessmentConfig
-from iotdq.pipeline import assess, sensor_iats
+from iotdq.pipeline import assess
 from iotdq.schema import parse_schema
 from iotdq.synthgen import DEFAULT_SCHEMA, GenSpec, generate, iat_histogram
 
@@ -121,7 +122,7 @@ class TestBookkeeping:
     def test_jitter_bounds_hold(self) -> None:
         spec = GenSpec(packets_per_sensor=200, jitter_fraction=0.2, seed=3)
         data, _ = generate(spec, SCHEMA)
-        [(_sensor, iats)] = sensor_iats(data, AssessmentConfig())
+        [(_sensor, iats)] = iats_of(data, AssessmentConfig())
         assert (iats >= 60.0 * 0.8 - 0.001).all()
         assert (iats <= 60.0 * 1.2 + 0.001).all()
 
@@ -233,7 +234,7 @@ class TestHistogram:
     def test_clean_interval_dominates(self) -> None:
         spec = GenSpec(packets_per_sensor=300, jitter_fraction=0.2, seed=8)
         data, _ = generate(spec, SCHEMA)
-        [(_sensor, iats)] = sensor_iats(data, AssessmentConfig())
+        [(_sensor, iats)] = iats_of(data, AssessmentConfig())
         hist = iat_histogram(iats, 60.0)
         top_bin = max(hist, key=lambda bc: bc[1])[0]
         assert top_bin == 60.0
