@@ -127,9 +127,12 @@ def cmd_proxy(args: argparse.Namespace) -> int:
 
 def cmd_enclave(args: argparse.Namespace) -> int:
     runner = EnclaveRunner(args.proxy, args.token)
-    runner.register()
-    print(f"enclave registered, code hash {runner.code_hash}")
-    runner.serve_forever()
+    try:
+        runner.register()
+        print(f"enclave registered, code hash {runner.code_hash}")
+        runner.serve_forever()
+    finally:
+        runner.close()
     return 0
 
 

@@ -37,6 +37,10 @@ class EnclaveRunner:
         self.code_hash = compute_code_hash()
         self.client = ProxyClient(proxy_addr, token)
 
+    def close(self) -> None:
+        """Close the connection to the proxy."""
+        self.client.close()
+
     def register(self) -> None:
         """Publish the attestation stub (code hash plus sealing key)."""
         stub = AttestationStub(

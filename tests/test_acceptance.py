@@ -214,8 +214,8 @@ class TestAcceptance:
 
         server = ProxyServer(str(tmp_path / "store"))
         server.start()
+        enclave = EnclaveRunner(server.base_url, server.token_for("enclave"))
         try:
-            enclave = EnclaveRunner(server.base_url, server.token_for("enclave"))
             enclave.register()
             reply_key = KeyPair.generate()
             config = AssessmentConfig(quantization_seconds=60.0, domain="acceptance")
@@ -254,12 +254,12 @@ class TestAcceptance:
                 for sentinel in sentinels:
                     assert sentinel.encode() not in blob, path
 
-            assessor = ProxyClient(server.base_url, server.token_for("assessor"))
-            responses = [
-                assessor.request("GET", "/attestation"),
-                assessor.request("GET", f"/assessments/{assessment_id}"),
-                assessor.request("GET", f"/objects/{submitted.dataset_id}"),
-            ]
+            with ProxyClient(server.base_url, server.token_for("assessor")) as assessor:
+                responses = [
+                    assessor.request("GET", "/attestation"),
+                    assessor.request("GET", f"/assessments/{assessment_id}"),
+                    assessor.request("GET", f"/objects/{submitted.dataset_id}"),
+                ]
             assert responses[-1].status_code == 403
             for response in responses:
                 for sentinel in sentinels:
@@ -319,6 +319,7 @@ class TestAcceptance:
                     denied += 1
             assert denied > 0
         finally:
+            enclave.close()
             server.stop()
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0, f"took {elapsed:.1f}s"

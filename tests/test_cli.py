@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -418,8 +419,11 @@ class TestDataBlindCommands:
         assert main(list(argv)) == 0, argv
         return capsys.readouterr().out.splitlines()
 
-    def test_submit_request_status_fetch(self, dataset, proxy, capsys) -> None:
+    def test_submit_request_status_fetch(
+        self, dataset, proxy, capsys, request
+    ) -> None:
         enclave = EnclaveRunner(proxy.base_url, proxy.token_for("enclave"))
+        request.addfinalizer(enclave.close)
         enclave.register()
         tmp = dataset["tmp"]
         config = AssessmentConfig(domain="air-quality")
@@ -478,9 +482,7 @@ class TestDataBlindCommands:
         envelope = bytearray(seal(b"{}", KeyPair.load(str(keyfile)).public_bytes))
         envelope[44:76] = bytes(32)  # the ephemeral key field: a low-order point
         monkeypatch.setattr(
-            clients,
-            "assessment_status",
-            lambda *_args: {"state": "done", "report_id": "r"},
+            clients, "_status", lambda *_args: {"state": "done", "report_id": "r"}
         )
         monkeypatch.setattr(
             clients.ProxyClient, "get_object", lambda _self, _id: (bytes(envelope), {})
@@ -495,7 +497,8 @@ class TestDataBlindCommands:
         assert capsys.readouterr().err == "error: envelope has an invalid ephemeral key\n"
 
     def test_pinned_hash_mismatch_exits_1(self, dataset, proxy, capsys) -> None:
-        EnclaveRunner(proxy.base_url, proxy.token_for("enclave")).register()
+        with closing(EnclaveRunner(proxy.base_url, proxy.token_for("enclave"))) as enclave:
+            enclave.register()
         keyfile = dataset["tmp"] / "reply.key"
         self._run(capsys, "keygen", "--out", str(keyfile))
         code = main(

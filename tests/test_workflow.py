@@ -61,6 +61,15 @@ def proxy(tmp_path: Path):
     server.stop()
 
 
+@pytest.fixture
+def enclave(proxy: ProxyServer):
+    """An enclave registered with the proxy."""
+    runner = EnclaveRunner(proxy.base_url, proxy.token_for("enclave"))
+    runner.register()
+    yield runner
+    runner.close()
+
+
 def _http(proxy: ProxyServer, role: str, method: str, path: str, **kwargs):
     headers = kwargs.pop("headers", {})
     headers["Authorization"] = f"Bearer {proxy.token_for(role)}"
@@ -339,6 +348,21 @@ class TestProxyScopes:
         finally:
             server.stop()
 
+    @pytest.mark.parametrize("size", [2_000, 10_000_000], ids=["2KB", "10MB"])
+    def test_over_cap_upload_raises_413(self, tmp_path: Path, size: int) -> None:
+        # The proxy answers before it reads the body, and closes the
+        # connection: sending the rest of a large body then fails, but the
+        # answer has arrived and is read.
+        server = ProxyServer(str(tmp_path / "capped"), max_object_bytes=1000)
+        server.start()
+        try:
+            envelope = seal(b"z" * size, KeyPair.generate().public_bytes)
+            with ProxyClient(server.base_url, server.token_for("assessee")) as client:
+                with pytest.raises(WorkflowError, match="413"):
+                    client.put_object("dataset", envelope)
+        finally:
+            server.stop()
+
     def test_tokens_never_look_like_options(self, tmp_path, monkeypatch) -> None:
         # Random bytes whose URL-safe base64 starts with "-".
         monkeypatch.setattr(secrets, "token_bytes", lambda n=32: b"\xf8" * n)
@@ -357,9 +381,7 @@ class TestProxyScopes:
 
 
 def _run_workflow(proxy: ProxyServer, data: bytes, config: AssessmentConfig):
-    """Drive one full three-party round; returns the pieces for assertions."""
-    enclave = EnclaveRunner(proxy.base_url, proxy.token_for("enclave"))
-    enclave.register()
+    """Submit and request one assessment; returns the pieces for assertions."""
     assessee_key = KeyPair.generate()
     submitted = assessee_submit(
         data,
@@ -378,7 +400,7 @@ def _run_workflow(proxy: ProxyServer, data: bytes, config: AssessmentConfig):
         proxy.token_for("assessor"),
         domain=config.domain,
     )
-    return enclave, assessee_key, submitted, assessment_id
+    return assessee_key, submitted, assessment_id
 
 
 class TestEndToEnd:
@@ -395,11 +417,11 @@ class TestEndToEnd:
         return data, truth.sentinel_values
 
     def test_report_matches_local_assessment_byte_for_byte(
-        self, proxy: ProxyServer
+        self, proxy: ProxyServer, enclave: EnclaveRunner
     ) -> None:
         data, _ = self._defect_data()
         config = AssessmentConfig(quantization_seconds=60.0, domain="air-quality")
-        enclave, assessee_key, _, assessment_id = _run_workflow(proxy, data, config)
+        assessee_key, _, assessment_id = _run_workflow(proxy, data, config)
 
         with pytest.raises(ReportNotReady, match="pending"):
             assessee_fetch_report(
@@ -416,10 +438,12 @@ class TestEndToEnd:
         )
         assert status["state"] == "done"
 
-    def test_report_envelope_names_enclave_as_sender(self, proxy: ProxyServer) -> None:
+    def test_report_envelope_names_enclave_as_sender(
+        self, proxy: ProxyServer, enclave: EnclaveRunner
+    ) -> None:
         data, _ = self._defect_data()
         config = AssessmentConfig(quantization_seconds=60.0, domain="air-quality")
-        enclave, assessee_key, _, assessment_id = _run_workflow(proxy, data, config)
+        assessee_key, _, assessment_id = _run_workflow(proxy, data, config)
         assert enclave.run_once() == "done"
         status = assessment_status(
             assessment_id, proxy.base_url, proxy.token_for("assessee")
@@ -431,13 +455,13 @@ class TestEndToEnd:
         assert recipient_hex == assessee_key.key_id.hex()
         assert sender_hex == enclave.keypair.key_id.hex()
 
-    def test_no_plaintext_reaches_store_or_assessor(self, proxy: ProxyServer) -> None:
+    def test_no_plaintext_reaches_store_or_assessor(
+        self, proxy: ProxyServer, enclave: EnclaveRunner
+    ) -> None:
         data, sentinels = self._defect_data()
         assert sentinels, "defect data must carry sentinel strings"
         config = AssessmentConfig(quantization_seconds=60.0, domain="air-quality")
-        enclave, assessee_key, submitted, assessment_id = _run_workflow(
-            proxy, data, config
-        )
+        assessee_key, submitted, assessment_id = _run_workflow(proxy, data, config)
         assert enclave.run_once() == "done"
         assessee_fetch_report(
             assessment_id, proxy.base_url, proxy.token_for("assessee"), assessee_key
@@ -450,23 +474,23 @@ class TestEndToEnd:
             for sentinel in sentinels:
                 assert sentinel.encode() not in content, path
 
-        assessor = ProxyClient(proxy.base_url, proxy.token_for("assessor"))
-        responses = [
-            assessor.request("GET", "/attestation"),
-            assessor.request("GET", f"/assessments/{assessment_id}"),
-            assessor.request("GET", f"/objects/{submitted.dataset_id}"),
-        ]
+        with ProxyClient(proxy.base_url, proxy.token_for("assessor")) as assessor:
+            responses = [
+                assessor.request("GET", "/attestation"),
+                assessor.request("GET", f"/assessments/{assessment_id}"),
+                assessor.request("GET", f"/objects/{submitted.dataset_id}"),
+            ]
         assert responses[-1].status_code == 403
         for response in responses:
             for sentinel in sentinels:
                 assert sentinel.encode() not in response.content
 
     def test_two_queued_assessments_processed_in_order(
-        self, proxy: ProxyServer
+        self, proxy: ProxyServer, enclave: EnclaveRunner
     ) -> None:
         data, _ = self._defect_data()
         config = AssessmentConfig(quantization_seconds=60.0, domain="air-quality")
-        enclave, assessee_key, submitted, first_id = _run_workflow(proxy, data, config)
+        assessee_key, submitted, first_id = _run_workflow(proxy, data, config)
         second_id = assessor_request(
             config.to_json(),
             submitted.dataset_id,
@@ -488,12 +512,12 @@ class TestEndToEnd:
         ]
         assert reports[0] == reports[1]
 
-    def test_tampered_ciphertext_fails_opaquely(self, proxy: ProxyServer) -> None:
+    def test_tampered_ciphertext_fails_opaquely(
+        self, proxy: ProxyServer, enclave: EnclaveRunner
+    ) -> None:
         data, _ = self._defect_data()
         config = AssessmentConfig(quantization_seconds=60.0, domain="air-quality")
-        enclave, assessee_key, submitted, assessment_id = _run_workflow(
-            proxy, data, config
-        )
+        assessee_key, submitted, assessment_id = _run_workflow(proxy, data, config)
         stored = proxy.store.objects_dir / f"{submitted.dataset_id}.bin"
         blob = bytearray(stored.read_bytes())
         blob[100] ^= 0x01
@@ -510,17 +534,17 @@ class TestEndToEnd:
                 assessment_id, proxy.base_url, proxy.token_for("assessee"), assessee_key
             )
 
-    def test_dataset_without_reply_key_fails(self, proxy: ProxyServer) -> None:
-        enclave = EnclaveRunner(proxy.base_url, proxy.token_for("enclave"))
-        enclave.register()
+    def test_dataset_without_reply_key_fails(
+        self, proxy: ProxyServer, enclave: EnclaveRunner
+    ) -> None:
         stub = fetch_attestation(proxy.base_url, proxy.token_for("assessee"))
-        assessee = ProxyClient(proxy.base_url, proxy.token_for("assessee"))
-        dataset_id = assessee.put_object(
-            "dataset", seal(b"{}", stub.enclave_public_key), domain="d"
-        )
-        schema_id = assessee.put_object(
-            "schema", seal(SCHEMA_BYTES, stub.enclave_public_key), domain="d"
-        )
+        with ProxyClient(proxy.base_url, proxy.token_for("assessee")) as assessee:
+            dataset_id = assessee.put_object(
+                "dataset", seal(b"{}", stub.enclave_public_key), domain="d"
+            )
+            schema_id = assessee.put_object(
+                "schema", seal(SCHEMA_BYTES, stub.enclave_public_key), domain="d"
+            )
         assessment_id = assessor_request(
             AssessmentConfig(domain="d").to_json(),
             dataset_id,
@@ -535,9 +559,9 @@ class TestEndToEnd:
         )
         assert status["state"] == "failed"
 
-    def test_code_hash_mismatch_blocks_upload(self, proxy: ProxyServer) -> None:
-        enclave = EnclaveRunner(proxy.base_url, proxy.token_for("enclave"))
-        enclave.register()
+    def test_code_hash_mismatch_blocks_upload(
+        self, proxy: ProxyServer, enclave: EnclaveRunner
+    ) -> None:
         with pytest.raises(AttestationError, match="does not match"):
             assessee_submit(
                 b"{}",
@@ -550,10 +574,10 @@ class TestEndToEnd:
             )
         assert list(proxy.store.objects_dir.glob("*.bin")) == []
 
-    def test_domain_mismatch_answers_409(self, proxy: ProxyServer) -> None:
+    def test_domain_mismatch_answers_409(
+        self, proxy: ProxyServer, enclave: EnclaveRunner
+    ) -> None:
         data, _ = self._defect_data()
-        enclave = EnclaveRunner(proxy.base_url, proxy.token_for("enclave"))
-        enclave.register()
         submitted = assessee_submit(
             data,
             SCHEMA_BYTES,
@@ -573,9 +597,9 @@ class TestEndToEnd:
                 domain="water",
             )
 
-    def test_unknown_object_ids_answer_404(self, proxy: ProxyServer) -> None:
-        enclave = EnclaveRunner(proxy.base_url, proxy.token_for("enclave"))
-        enclave.register()
+    def test_unknown_object_ids_answer_404(
+        self, proxy: ProxyServer, enclave: EnclaveRunner
+    ) -> None:
         with pytest.raises(WorkflowError, match="404"):
             assessor_request(
                 AssessmentConfig().to_json(),
@@ -587,9 +611,8 @@ class TestEndToEnd:
             )
 
     def test_netrc_entry_does_not_replace_the_bearer_token(
-        self, proxy: ProxyServer, tmp_path: Path, monkeypatch
+        self, proxy: ProxyServer, enclave: EnclaveRunner, tmp_path: Path, monkeypatch
     ) -> None:
-        EnclaveRunner(proxy.base_url, proxy.token_for("enclave")).register()
         host = urlsplit(proxy.base_url).hostname
         netrc = tmp_path / "netrc"
         netrc.write_text(f"machine {host} login someone password secret\n")
@@ -597,16 +620,6 @@ class TestEndToEnd:
         monkeypatch.setenv("NETRC", str(netrc))
         stub = fetch_attestation(proxy.base_url, proxy.token_for("assessee"))
         assert stub.code_hash == compute_code_hash()
-
-    def test_proxy_variables_are_read_once_per_client(self, monkeypatch) -> None:
-        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
-            monkeypatch.delenv(name, raising=False)
-            monkeypatch.delenv(name.upper(), raising=False)
-        monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
-        client = ProxyClient("http://store.example:8440", "t")
-        assert client._session.proxies.get("http") == "http://127.0.0.1:9"
-        monkeypatch.setenv("no_proxy", "store.example")
-        assert ProxyClient("http://store.example:8440", "t")._session.proxies == {}
 
     def test_missing_attestation_answers_404(self, proxy: ProxyServer) -> None:
         with pytest.raises(WorkflowError, match="404"):
