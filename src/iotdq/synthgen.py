@@ -20,6 +20,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, GenSpecError, load_json
+from .metrics_iat import quantize
 from .schema import SchemaDocument, parse_schema
 
 __all__ = [
@@ -327,9 +328,5 @@ def iat_histogram(
     Raises ConfigError unless bin_width is positive and finite."""
     if not 0.0 < bin_width < math.inf:
         raise ConfigError(f"bin width must be a positive finite number, not {bin_width}")
-    arr = np.asarray(iats, dtype=np.float64)
-    if arr.size == 0:
-        return []
-    bins = np.rint(arr / bin_width) * bin_width
-    values, counts = np.unique(bins, return_counts=True)
+    values, counts = np.unique(quantize(iats, bin_width), return_counts=True)
     return [(float(v), int(c)) for v, c in zip(values, counts)]

@@ -57,9 +57,9 @@ class EnclaveRunner:
         assessment_id = record["assessment_id"]
         try:
             report_id = self._process(record)
-        except Exception:
-            # Opaque failure: nothing about the plaintext leaves the enclave.
-            logger.debug("assessment %s failed", assessment_id, exc_info=True)
+        except Exception as exc:
+            # Opaque failure: a message or traceback may quote the plaintext.
+            logger.debug("assessment %s failed: %s", assessment_id, type(exc).__name__)
             self._complete(assessment_id, "failed", None)
             return "failed"
         self._complete(assessment_id, "done", report_id)

@@ -11,13 +11,17 @@ GET_SCOPES. A (role, route) pair outside those tables answers 403.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
 import re
 import secrets
+import socket
 import threading
 import time
+import weakref
+from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -105,68 +109,84 @@ def _is_object_id(value: Any) -> bool:
     return isinstance(value, str) and _OBJECT_ID.fullmatch(value) is not None
 
 
+_META_KEYS = ("content_kind", "domain", "reply_public_key")  # what handlers read
+
+
 class _Store:
-    """Disk-backed object store and in-memory assessment queue."""
+    """Envelopes as objects/<id>.bin, and every other fact a line appended to
+    journal.jsonl; the tables in memory are only that journal applied."""
 
     def __init__(self, store_dir: str) -> None:
         self.root = Path(store_dir)
         self.objects_dir = self.root / "objects"
         self.objects_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._objects: dict[str, tuple[str, ...]] = {}  # values in _META_KEYS order
         self._assessments: dict[str, dict[str, Any]] = {}
-        self._queue: list[str] = []
         self._attestation: "bytes | None" = None
+        path = self.root / "journal.jsonl"
+        journal = path.read_bytes() if path.exists() else b""
+        for number, line in enumerate(journal.splitlines(), 1):
+            try:
+                self._apply(load_json(line, WorkflowError, "journal line"))
+            except WorkflowError:  # such as a line torn by a crash
+                logger.warning("journal line %d is unreadable; skipped", number)
+        pending = [k for k, r in self._assessments.items() if r["state"] == "pending"]
+        self._pending = deque(pending)  # oldest first: a dict keeps creation order
+        self.journal = open(path, "ab")
+        if not journal.endswith(b"\n") and journal:
+            self.journal.write(b"\n")  # a torn line ends before the next fact
 
-    def _write_atomic(self, path: Path, data: bytes) -> None:
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+    def _apply(self, fact: dict[str, Any]) -> None:
+        if "assessment" in fact:  # the whole record, in each state it enters
+            self._assessments[fact["assessment"]["assessment_id"]] = fact["assessment"]
+        elif "object" in fact:
+            meta = fact["object"]
+            self._objects[meta["object_id"]] = tuple(meta[k] for k in _META_KEYS)
+        else:  # latin-1, so that the stub's exact bytes survive
+            self._attestation = fact["attestation"].encode("latin-1")
+
+    def _record(self, fact: dict[str, Any]) -> None:
+        """Append fact to the journal, then apply it; the caller holds the lock."""
+        self.journal.write(json.dumps(fact, sort_keys=True).encode("utf-8") + b"\n")
+        self.journal.flush()
+        self._apply(fact)
 
     def put_object(
         self, kind: str, envelope: bytes, domain: str, reply_public_key: str
     ) -> str:
         recipient, sender = envelope_key_ids(envelope)
         object_id = secrets.token_hex(16)
-        meta = {
-            "object_id": object_id,
-            "recipient_key_id": recipient,
-            "sender_key_id": sender,
-            "content_kind": kind,
-            "created_at": time.time(),
-            "domain": domain,
-            "reply_public_key": reply_public_key,
-        }
-        with self._lock:
-            self._write_atomic(self.objects_dir / f"{object_id}.bin", envelope)
-            self._write_atomic(
-                self.objects_dir / f"{object_id}.json",
-                json.dumps(meta, sort_keys=True).encode("utf-8"),
-            )
+        path = self.objects_dir / f"{object_id}.bin"  # written outside the lock
+        path.with_suffix(".tmp").write_bytes(envelope)
+        os.replace(path.with_suffix(".tmp"), path)
+        meta = dict(
+            object_id=object_id, recipient_key_id=recipient, sender_key_id=sender,
+            content_kind=kind, created_at=time.time(), domain=domain,
+            reply_public_key=reply_public_key,
+        )
+        with self._lock:  # journaled, and so found, once its file is whole
+            self._record({"object": meta})
         return object_id
 
-    def object_meta(self, object_id: Any) -> "dict[str, Any] | None":
-        """A stored object's fields but the ciphertext, which is not read;
-        None for any id this store never issued."""
-        if not _is_object_id(object_id):  # before the id names a file
-            return None
-        meta_path = self.objects_dir / f"{object_id}.json"
-        bin_path = self.objects_dir / f"{object_id}.bin"
-        if not meta_path.exists() or not bin_path.exists():
-            return None
-        return json.loads(meta_path.read_bytes())
+    def object_meta(self, object_id: Any) -> "dict[str, str] | None":
+        """A stored object's _META_KEYS; None for any id this store never issued."""
+        # An id checked first: an unhashable one from a JSON body is never looked up.
+        meta = self._objects.get(object_id) if _is_object_id(object_id) else None
+        return None if meta is None else dict(zip(_META_KEYS, meta))
 
-    def get_object(self, object_id: Any) -> "tuple[bytes, dict[str, Any]] | None":
-        """The stored (envelope, metadata), or None for any id this store
-        never issued."""
-        meta = self.object_meta(object_id)
-        if meta is None:
-            return None
-        return (self.objects_dir / f"{object_id}.bin").read_bytes(), meta
+    def get_object(self, object_id: Any) -> "tuple[bytes, dict[str, str]] | None":
+        """The stored (envelope, metadata); None for an id never issued or
+        whose file is gone."""
+        meta = self.object_meta(object_id)  # before the id names a file
+        with contextlib.suppress(FileNotFoundError):
+            if meta is not None:
+                return (self.objects_dir / f"{object_id}.bin").read_bytes(), meta
+        return None
 
     def set_attestation(self, stub: bytes) -> None:
         with self._lock:
-            self._attestation = stub
-            self._write_atomic(self.root / "attestation.json", stub)
+            self._record({"attestation": stub.decode("latin-1")})
 
     def get_attestation(self) -> "bytes | None":
         return self._attestation
@@ -185,26 +205,21 @@ class _Store:
             "created_at": time.time(),
         }
         with self._lock:
-            self._assessments[record["assessment_id"]] = record
-            self._queue.append(record["assessment_id"])
-            self._persist_assessments()
+            self._record({"assessment": record})
+            self._pending.append(record["assessment_id"])
         return dict(record)
 
     def get_assessment(self, assessment_id: str) -> "dict[str, Any] | None":
-        with self._lock:
-            record = self._assessments.get(assessment_id)
-            return dict(record) if record else None
+        record = self._assessments.get(assessment_id)  # replaced whole, never changed
+        return dict(record) if record else None
 
     def claim_assessment(self) -> "dict[str, Any] | None":
         with self._lock:
-            while self._queue:
-                assessment_id = self._queue.pop(0)
-                record = self._assessments.get(assessment_id)
-                if record and record["state"] == "pending":
-                    record["state"] = "running"
-                    self._persist_assessments()
-                    return dict(record)
-            return None
+            if not self._pending:
+                return None
+            record = dict(self._assessments[self._pending.popleft()], state="running")
+            self._record({"assessment": record})
+            return dict(record)
 
     def complete_assessment(
         self, assessment_id: str, state: str, report_id: "str | None"
@@ -213,17 +228,9 @@ class _Store:
             record = self._assessments.get(assessment_id)
             if record is None or record["state"] != "running":
                 return False
-            record["state"] = state
-            record["report_id"] = report_id
-            record["completed_at"] = time.time()
-            self._persist_assessments()
+            record = dict(record, state=state, report_id=report_id)
+            self._record({"assessment": dict(record, completed_at=time.time())})
             return True
-
-    def _persist_assessments(self) -> None:
-        self._write_atomic(
-            self.root / "assessments.json",
-            json.dumps(self._assessments, sort_keys=True).encode("utf-8"),
-        )
 
 
 class _Refusal(Exception):
@@ -450,6 +457,7 @@ class ProxyServer(ThreadingHTTPServer):
         }
         self._by_secret = {t.token: t for t in self._tokens.values()}
         self._thread: "threading.Thread | None" = None
+        self._open: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
         credentials = {role: t.token for role, t in self._tokens.items()}
         write_private(
             self.store.root / "credentials.json",
@@ -467,15 +475,27 @@ class ProxyServer(ThreadingHTTPServer):
     def lookup_token(self, secret: str) -> "AccessToken | None":
         return self._by_secret.get(secret)
 
+    def process_request(self, request: Any, client_address: Any) -> None:
+        self._open.add(request)
+        super().process_request(request, client_address)
+
     def start(self) -> None:
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
 
     def stop(self) -> None:
+        """Stop accepting, and end every kept-alive connection unanswered."""
         self.shutdown()
+        for request in tuple(self._open):
+            with contextlib.suppress(OSError):  # closed by its handler meanwhile
+                request.shutdown(socket.SHUT_RDWR)
         if self._thread is not None:
             self._thread.join(timeout=5)
         self.server_close()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self.store.journal.close()
 
 
 def proxy_serve(

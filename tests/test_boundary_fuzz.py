@@ -118,7 +118,6 @@ _JSON_LOADS_CALLERS = {
     "errors.load_json",
     "ingest._ndjson_line",
     "metrics_iat._json_canon",
-    "workflow.proxy._Store.object_meta",
 }
 
 

@@ -18,8 +18,10 @@ import requests
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from iotdq.errors import WorkflowError
 from iotdq.workflow import proxy as proxy_module
 from iotdq.workflow.attestation import AttestationStub
+from iotdq.workflow.clients import ProxyClient
 from iotdq.workflow.proxy import CONTENT_KINDS, PUT_SCOPES, ROLES, ProxyServer
 from iotdq.workflow.sealing import KeyPair, seal
 
@@ -314,7 +316,30 @@ def test_assessment_request_reads_no_ciphertext(proxy, monkeypatch) -> None:
         timeout=5,
     )
     assert response.status_code == 201
-    assert sorted(read) == sorted(f"{object_id}.json" for object_id in doc.values())
+    # The objects' metadata is read from memory, so no file is read at all.
+    assert read == []
+
+
+def test_stop_ends_kept_alive_connections_unanswered(tmp_path, monkeypatch) -> None:
+    answered: list[str] = []
+    dispatch = proxy_module._Handler._dispatch
+
+    def spy(handler: proxy_module._Handler) -> None:
+        answered.append(handler.path)
+        dispatch(handler)
+
+    monkeypatch.setattr(proxy_module._Handler, "_dispatch", spy)
+    server = ProxyServer(str(tmp_path / "store"))
+    server.start()
+    try:
+        with ProxyClient(server.base_url, server.token_for("assessor")) as client:
+            assert client.request("GET", "/attestation").status_code == 404
+            server.stop()
+            with pytest.raises(WorkflowError):
+                client.request("GET", "/attestation")
+    finally:
+        server.stop()
+    assert answered == ["/attestation"]
 
 
 def test_accepted_connections_send_without_nagle_delay(proxy, monkeypatch) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import json
+import logging
 import secrets
 import stat
 from pathlib import Path
@@ -533,6 +534,41 @@ class TestEndToEnd:
             assessee_fetch_report(
                 assessment_id, proxy.base_url, proxy.token_for("assessee"), assessee_key
             )
+
+    def test_failure_log_quotes_no_sealed_input(
+        self, proxy: ProxyServer, enclave: EnclaveRunner, caplog
+    ) -> None:
+        pattern = {"type": "string", "pattern": "SECRET_PATTERN("}
+        schema = {"properties": {"status": pattern}}
+        data, _ = self._defect_data()
+        submitted = assessee_submit(
+            data,
+            json.dumps(schema).encode(),
+            proxy.base_url,
+            proxy.token_for("assessee"),
+            domain="d",
+            expected_code_hash=compute_code_hash(),
+            reply_keypair=KeyPair.generate(),
+        )
+        assessment_id = assessor_request(
+            AssessmentConfig(domain="d").to_json(),
+            submitted.dataset_id,
+            submitted.schema_id,
+            proxy.base_url,
+            proxy.token_for("assessor"),
+            domain="d",
+        )
+        with caplog.at_level(logging.DEBUG, logger="iotdq"):
+            assert enclave.run_once() == "failed"
+        status = assessment_status(
+            assessment_id, proxy.base_url, proxy.token_for("assessor")
+        )
+        assert status["state"] == "failed"
+        messages = [r.getMessage() for r in caplog.records]
+        assert f"assessment {assessment_id} failed: SchemaError" in messages
+        for record in caplog.records:
+            assert "SECRET_PATTERN" not in record.getMessage()
+            assert "SECRET_PATTERN" not in (record.exc_text or "")
 
     def test_dataset_without_reply_key_fails(
         self, proxy: ProxyServer, enclave: EnclaveRunner
