@@ -14,6 +14,11 @@ modification time) is checked again when the caller is done with it, so
 a file that changed while it was read raises IngestFormatError. Any other
 file (a FIFO, /dev/stdin from a pipe) is read whole into memory.
 
+records_at reads chosen records again: it walks the same items as
+iter_records (each format's item walk is shared: _ndjson_blocks and
+_nonblank, _csv_items, the JSON array's elements) and decodes only the
+items at the ordinals asked for, NDJSON lines with _ndjson_line.
+
 Timestamps are normalized to integer epoch milliseconds. Numeric values
 below 1e11 are read as epoch seconds (fractions allowed), larger ones as
 epoch milliseconds; strings are parsed as RFC 3339 / ISO 8601, naive
@@ -30,11 +35,12 @@ import os
 import re
 import stat
 from datetime import datetime, timezone
-from typing import Any, Callable, Iterator, Mapping, NamedTuple
+from itertools import chain, islice
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import IngestFormatError, load_json
 
-__all__ = ["parse_timestamp", "iter_records"]
+__all__ = ["parse_timestamp", "iter_records", "records_at"]
 
 _EPOCH_MS_FLOOR = 1e11  # numeric timestamps at or above this are milliseconds
 _EPOCH_MS_FLOOR_INT = int(_EPOCH_MS_FLOOR)
@@ -214,26 +220,42 @@ def _lines_holding_digit_run(masked: bytes, count: int, at: int) -> Iterator[boo
     return iter(guarded)
 
 
+# Every NDJSON line but a blank one (ASCII whitespace only, all of which
+# bytes.strip removes) is an item: a record, or None.
+_nonblank = bytes.strip
+
+
+def _ndjson_blocks(source: _Source, block_bytes: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each block of NDJSON source, in order. A block holds
+    at least block_bytes and is cut just after a newline: a line longer than
+    a block grows its block until the line ends. Its lines are split as
+    bytes.splitlines() splits them (on \\n, \\r and \\r\\n only), so no
+    line or \\r\\n pair straddles a cut."""
+    start = source.start
+    while start < source.stop:
+        stop = _line_end(source, start + block_bytes - 1)
+        yield start, stop
+        start = stop
+
+
 def _iter_ndjson(
     source: "bytes | _Source", block_bytes: int = _BLOCK_BYTES
 ) -> Iterator["dict | None"]:
     """NDJSON records, or None for a malformed one, each line decoded by orjson.
 
-    Lines split as bytes.splitlines() does (on \\n, \\r and \\r\\n only);
-    blank lines are skipped. A line that is _TRUSTED_LINE_BYTES or longer,
-    or whose _NUMBER_MASK holds _DIGIT_RUN, is decoded from UTF-8 and read
-    by the standard library's scanner instead of orjson. A line neither
-    reader turns whole into a dict (one orjson raises on, whitespace orjson
+    The items are the lines of the blocks of _ndjson_blocks that are not
+    blank (see _nonblank). A line that is _TRUSTED_LINE_BYTES or longer, or
+    whose _NUMBER_MASK holds _DIGIT_RUN, is decoded from UTF-8 and read by
+    the standard library's scanner instead of orjson. A line neither reader
+    turns whole into a dict (one orjson raises on, whitespace orjson
     rejects, a BOM, another encoding, invalid UTF-8, NaN, bad JSON) goes to
     _ndjson_line. So every record, and every None, is what json.loads gives
-    on the line's bytes. The source is read in blocks of at least
-    block_bytes, each cut just after a newline (a line longer than a block
-    grows its block until the line ends), so no more than a block of the
-    source is held at once. A block is masked whole, and the lines
-    holding its matches of _DIGIT_RUN are found in that mask, so no line is
-    masked twice; a block whose lines average _TRUSTED_LINE_BYTES or more,
-    which skip orjson anyway, is not masked whole, only its shorter lines
-    one by one.
+    on the line's bytes: _ndjson_line over every item gives the same
+    records, only slower. No more than a block of the source is held at
+    once. A block is masked whole, and the lines holding its matches of
+    _DIGIT_RUN are found in that mask, so no line is masked twice; a block
+    whose lines average _TRUSTED_LINE_BYTES or more, which skip orjson
+    anyway, is not masked whole, only its shorter lines one by one.
     """
     # Imported here: a fresh process takes about 10 ms to load orjson (with
     # uuid, zoneinfo and sysconfig), which only NDJSON reading needs.
@@ -244,11 +266,8 @@ def _iter_ndjson(
     scan = _scan_once
     if not isinstance(source, _Source):
         source = _in_memory(source)
-    start = source.start
-    while start < source.stop:
-        cut = _line_end(source, start + block_bytes - 1)
-        block = source.read(start, cut)
-        start = cut
+    for start, stop in _ndjson_blocks(source, block_bytes):
+        block = source.read(start, stop)
         lines = block.splitlines()
         guarded: "Iterator[bool] | None" = None  # per line: skips orjson
         if len(lines) * _TRUSTED_LINE_BYTES > len(block):
@@ -279,9 +298,79 @@ def _iter_ndjson(
                     record = None
             if type(record) is dict:
                 yield record
-            elif line.strip():
+            elif _nonblank(line):
                 yield _ndjson_line(line)
         del lines  # not held beside the next block's
+
+
+def _csv_items(
+    data: bytes,
+) -> tuple[Iterator["list[str] | None"], Callable[[Any], "dict | None"]]:
+    """The items of CSV data, and what decodes an item to its record or None.
+
+    The first row is the header. An item is each later row that is not
+    blank, or None for one csv.reader cannot read. A row longer than the
+    header is malformed; a short row lacks its absent fields.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestFormatError(f"CSV source is not UTF-8: {exc}") from exc
+    rows = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(rows, None)
+    except csv.Error as exc:
+        raise IngestFormatError(f"CSV header is unreadable: {exc}") from exc
+
+    def items() -> Iterator["list[str] | None"]:
+        if header is None:
+            return
+        while True:
+            try:
+                row = next(rows)
+            except StopIteration:
+                return
+            except csv.Error:
+                # A field over the size limit, say; reading resumes at the next row.
+                row = None
+            if row != []:  # a blank line is []
+                yield row
+
+    def decode(row: "list[str] | None") -> "dict | None":
+        if row is None or len(row) > len(header):
+            return None
+        record = {k: _coerce_csv_value(v) for k, v in zip(header, row)}
+        # A short row lacks every name of its absent fields, even one that a
+        # present field repeats.
+        for key in header[len(row) :]:
+            record.pop(key, None)
+        return record
+
+    return items(), decode
+
+
+def _items(
+    source: _Source, format: str
+) -> tuple[Iterator[Any], Callable[[Any], "dict | None"]]:
+    """The items of source in order, one per record, and what decodes an
+    item to its record, or None if malformed.
+
+    The items are the non-blank NDJSON lines, read a block at a time and
+    decoded by _ndjson_line; the items of _csv_items; and the JSON array's
+    elements, an element that is not an object being malformed. CSV and
+    JSON arrays are read and parsed whole here.
+    """
+    if format == "ndjson":
+        blocks = _ndjson_blocks(source, _BLOCK_BYTES)
+        items = (filter(_nonblank, source.read(*b).splitlines()) for b in blocks)
+        return chain.from_iterable(items), _ndjson_line
+    data = source.read(source.start, source.stop)
+    if format == "csv":
+        return _csv_items(data)
+    if format == "json_array":
+        elements = load_json(data, IngestFormatError, "source", list)
+        return iter(elements), lambda item: item if isinstance(item, dict) else None
+    raise IngestFormatError(f"unknown dataset format: {format!r}")
 
 
 def iter_records(
@@ -293,42 +382,33 @@ def iter_records(
     array's elements, in order. NDJSON is read a block at a time; CSV and
     JSON arrays are decoded whole.
     """
+    if not isinstance(source, _Source):
+        source = _in_memory(source)
     if format == "ndjson":
         yield from _iter_ndjson(source)
         return
-    if isinstance(source, _Source):
-        source = source.read(source.start, source.stop)
-    if format == "csv":
+    items, decode = _items(source, format)
+    yield from map(decode, items)
+
+
+def records_at(
+    source: "bytes | _Source", format: str, ordinals: Iterable[int]
+) -> Iterator["Mapping[str, Any] | None"]:
+    """Yield the items of iter_records(source, format) at ordinals, which
+    ascend strictly and count those items from 0.
+
+    Only the wanted items are decoded, each as iter_records decodes it;
+    the source is walked once, as far as the last of them (NDJSON a block
+    at a time). Raises IngestFormatError for an ordinal past the last item.
+    """
+    if not isinstance(source, _Source):
+        source = _in_memory(source)
+    items, decode = _items(source, format)
+    at = 0
+    for ordinal in ordinals:
         try:
-            text = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IngestFormatError(f"CSV source is not UTF-8: {exc}") from exc
-        rows = csv.reader(io.StringIO(text, newline=""))
-        try:
-            header = next(rows, None)
-        except csv.Error as exc:
-            raise IngestFormatError(f"CSV header is unreadable: {exc}") from exc
-        if header is None:
-            return
-        while True:
-            try:
-                row = next(rows)
-            except StopIteration:
-                return
-            except csv.Error:
-                # A field over the size limit, say; reading resumes at the next row.
-                row = None
-            if row is None or len(row) > len(header):
-                yield None
-            elif row:  # a blank line is []
-                record = {k: _coerce_csv_value(v) for k, v in zip(header, row)}
-                # A short row lacks every name of its absent fields, even one
-                # that a present field repeats.
-                for key in header[len(row) :]:
-                    record.pop(key, None)
-                yield record
-    elif format == "json_array":
-        for record in load_json(source, IngestFormatError, "source", list):
-            yield record if isinstance(record, dict) else None
-    else:
-        raise IngestFormatError(f"unknown dataset format: {format!r}")
+            item = next(islice(items, ordinal - at, None))
+        except StopIteration:
+            raise IngestFormatError(f"source has no record {ordinal}") from None
+        at = ordinal + 1
+        yield decode(item)

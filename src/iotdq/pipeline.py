@@ -10,19 +10,24 @@ inside a tight time and memory envelope. It also takes the fingerprint,
 through its meanwhile callback.
 
 The fold has two parts. _scan walks the records of one block in order:
-per-record normalisation and schema flags, and per-record key columns
-(the timestamp, the sensor index and, under the full_packet duplicate
-key, the packet_key_fields digest, which covers the sensor id). _merge
-joins the blocks' scans in block order and deduplicates once: a stable
-sort by (sensor, timestamp) keeps the first occurrence in record order
-and yields each sensor's sorted timestamps; under full_packet the rows
-of each run of equal (sensor, timestamp) are then sorted by digest. A
-large NDJSON source is cut at newlines into one block per usable core,
-and every block but the first is scanned in a forked worker process;
-any other source is one block. Each process reads only its own block,
-through ingest's one reader of offsets: a slice of bytes in memory, or
-os.pread of a file opened by ingest._open_dataset, so that assess_file
-and sensor_iats never hold a regular NDJSON file whole.
+per-record normalisation and schema flags, per-record key columns (the
+timestamp and the sensor index) and the item ordinal of each malformed
+record. _merge joins the blocks' scans in block order and deduplicates
+once: a stable sort by (sensor, timestamp) keeps the first occurrence in
+record order and yields each sensor's sorted timestamps. Under the
+full_packet duplicate key, equal packets can only lie in a run of equal
+(sensor, timestamp), so only the rows of such runs are digested with
+packet_key_fields, and each run is then sorted by digest. Those rows are
+read again in this process once the scans are joined: records_at walks
+each of their blocks once more, as iter_records walked it, and decodes
+only their records. A row whose (sensor, timestamp) is unique costs no
+digest and no second decode. A large NDJSON source is cut at newlines
+into one block per usable core, and every block but the first is scanned
+in a forked worker process; any other source is one block. Each process
+reads only its own block, through ingest's one reader of offsets: a slice
+of bytes in memory, or os.pread of a file opened by ingest._open_dataset,
+so that assess_file and sensor_iats never hold a regular NDJSON file
+whole.
 
 Records arrive from ingest.iter_records, which decodes NDJSON lines with
 orjson (the C scanner or json.loads where orjson cannot be trusted).
@@ -34,9 +39,8 @@ counter keys, together with the signature's plan of value checks: under
 format_checks="full", one (name, lo, hi, pattern) per type-correct
 attribute that declares a bound or a pattern; under "types_only", none.
 Every record of a seen signature runs only that plan, and builds no
-attribute dict unless the full_packet duplicate key needs one (then a
-copy of the record without the timestamp and sensor id). Records with
-nested values are never memoised and are judged one by one.
+attribute dict. Records with nested values are never memoised and are
+judged one by one.
 """
 
 from __future__ import annotations
@@ -55,14 +59,16 @@ from typing import Any, BinaryIO, Callable, NamedTuple, NoReturn
 import numpy as np
 
 from . import _kernels
-from .errors import DatasetRejectedError, DegenerateIatError
+from .errors import DatasetRejectedError, DegenerateIatError, IngestFormatError
 from .ingest import (
+    _FILE_CHANGED,
     _in_memory,
     _line_end,
     _open_dataset,
     _Source,
     iter_records,
     parse_timestamp,
+    records_at,
 )
 from .metrics_iat import (
     EVIDENCE_CAP,
@@ -93,7 +99,7 @@ _MEMO_CAP = 1 << 12  # distinct record signatures whose counter keys are kept
 _BLOCK_MIN_BYTES = 2 << 20
 _HASH_BYTES = 1 << 20  # read size of a file's fingerprint
 # What the scan calls, as bound at import; see _fold.
-_SCAN_CALLS = (iter_records, parse_timestamp, _flags_for, packet_key_fields)
+_SCAN_CALLS = (iter_records, parse_timestamp, _flags_for)
 _NO_SCHEMA = SchemaDocument(attributes={}, mandatory=frozenset())
 
 
@@ -142,12 +148,11 @@ class _Scan(NamedTuple):
     """What a scan of one block leaves: counts and per-record key columns."""
 
     total: int  # valid records
-    malformed: int
+    malformed: array  # ("q") ascending, the item ordinal of each malformed record
     violations: Counter  # (metric, None) per record, (metric, attribute)
     sensors: list[str]  # sensor ids in first-appearance order within the block
     sensor_col: array  # ("i") per valid record, its index into sensors
     ts_col: array  # ("q") per valid record, its timestamp (ms)
-    digests: bytearray  # per valid record, packet_key_fields; full_packet only
 
 
 class _Tally(NamedTuple):
@@ -168,15 +173,13 @@ def _scan(
     full_checks = config.format_checks == "full"
     ts_field = config.timestamp_field
     sid_field = config.sensor_id_field
-    id_ts_key = config.duplicate_key == "id_timestamp"
 
     total = 0
-    malformed = 0
+    malformed = array("q")
     violations: Counter = Counter()
     sensor_index: dict[str, int] = {}
     sensor_col = array("i")
     ts_col = array("q")
-    digests = bytearray()
 
     # A record's type-level violations depend only on its keys and value
     # types, so they are judged once per such signature, together with the
@@ -186,7 +189,7 @@ def _scan(
 
     for record in iter_records(source, config.dataset_format):
         if record is None:
-            malformed += 1
+            malformed.append(total + len(malformed))
             continue
         try:
             if ts_field not in record:
@@ -205,12 +208,8 @@ def _scan(
             verdict = memo.get(signature)
             if verdict is None:
                 attrs, nested = _attributes(record, ts_field, sid_field)
-            elif not id_ts_key:
-                # A memoised signature never holds a nested or list value.
-                attrs = record.copy()
-                del attrs[ts_field], attrs[sid_field]
         except ValueError:
-            malformed += 1
+            malformed.append(total + len(malformed))
             continue
 
         if verdict is None:
@@ -236,11 +235,7 @@ def _scan(
             sidx = sensor_index[sensor_id] = len(sensor_index)
         sensor_col.append(sidx)
         ts_col.append(timestamp_ms)
-        if not id_ts_key:
-            digests += packet_key_fields(sensor_id, timestamp_ms, attrs)
-    return _Scan(
-        total, malformed, violations, list(sensor_index), sensor_col, ts_col, digests
-    )
+    return _Scan(total, malformed, violations, list(sensor_index), sensor_col, ts_col)
 
 
 def _cuts(source: _Source, fmt: str) -> list[tuple[int, int]]:
@@ -344,14 +339,17 @@ def _scan_blocks(
             os.waitpid(pid, 0)
 
 
-def _merge(scans: list[_Scan], config: AssessmentConfig) -> _Tally:
-    """Join block scans in block order and deduplicate.
+def _merge(
+    scans: list[_Scan], blocks: list[_Source], config: AssessmentConfig
+) -> _Tally:
+    """Join block scans in block order and deduplicate; blocks[i] is the
+    source that scans[i] scanned.
 
     Raises DatasetRejectedError when more than half of the records are
     malformed.
     """
     total = sum(scan.total for scan in scans)
-    error_count = sum(scan.malformed for scan in scans)
+    error_count = sum(len(scan.malformed) for scan in scans)
     records_seen = total + error_count
     if records_seen and error_count * 2 > records_seen:
         raise DatasetRejectedError(
@@ -382,19 +380,19 @@ def _merge(scans: list[_Scan], config: AssessmentConfig) -> _Tally:
     if config.duplicate_key == "full_packet" and repeat.any():
         # The digest covers the sensor id and the timestamp, so equal digests
         # lie in one run of equal (sensor, timestamp): only the rows of such
-        # runs are sorted by digest, stably and within their run.
-        digests = np.frombuffer(
-            b"".join(scan.digests for scan in scans), np.uint64
-        ).reshape(-1, 2)
+        # runs are digested, and sorted by digest, stably and within their run.
         tied = np.flatnonzero(
             np.concatenate(([False], repeat)) | np.concatenate((repeat, [False]))
         )
         run = np.cumsum(np.concatenate(([True], ~repeat)))[tied]
         rows = order[tied]
-        d = digests[rows]
-        order[tied] = rows[np.lexsort((d[:, 1], d[:, 0], run))]
+        digests = _digests(rows, scans, blocks, config)
+        sort = np.lexsort((digests[:, 1], digests[:, 0], run))
+        order[tied] = rows[sort]
+        digests = digests[sort]  # now in the order of tied
         pairs = np.flatnonzero(repeat)
-        repeat[pairs] = (digests[order[pairs]] == digests[order[pairs + 1]]).all(1)
+        at = np.searchsorted(tied, pairs)  # pairs + 1 is at tied[at + 1]
+        repeat[pairs] = (digests[at] == digests[at + 1]).all(1)
     first = np.concatenate(([True], ~repeat))[: order.size]
 
     sensor_ids = list(sensor_index)
@@ -406,6 +404,45 @@ def _merge(scans: list[_Scan], config: AssessmentConfig) -> _Tally:
         for i in np.sort(order[~first])[:EVIDENCE_CAP]
     ]
     return _Tally(total, violations, dup_examples, sensor_index, ts_buffers, dups)
+
+
+def _digests(
+    rows: np.ndarray,
+    scans: list[_Scan],
+    blocks: list[_Source],
+    config: AssessmentConfig,
+) -> np.ndarray:
+    """packet_key_fields of each of rows (indices into the scans' joined
+    columns), as uint64 pairs; blocks[i] is the source that scans[i] scanned.
+
+    Each row's record is read again, alone, from its block: its item
+    ordinal there is its row index within the scan plus the number of the
+    scan's malformed records before it. The sensor id and timestamp are
+    the scan's, the attributes those of the decoded record.
+    """
+    ts_field, sid_field = config.timestamp_field, config.sensor_id_field
+    digests = [b""] * rows.size
+    by_row = np.argsort(rows)
+    stop = 0
+    for scan, block in zip(scans, blocks):
+        start, stop = stop, stop + scan.total
+        mine = by_row[(rows[by_row] >= start) & (rows[by_row] < stop)]
+        if not mine.size:
+            continue
+        local = rows[mine] - start
+        # The k-th malformed record (from 0) follows its ordinal minus k valid ones.
+        malformed = np.frombuffer(scan.malformed, dtype=np.int64)
+        skipped = np.searchsorted(malformed - np.arange(malformed.size), local, "right")
+        ordinals = (local + skipped).tolist()
+        records = records_at(block, config.dataset_format, ordinals)
+        for at, row, record in zip(mine.tolist(), local.tolist(), records):
+            try:
+                attrs = _attributes(record, ts_field, sid_field)[0]
+            except (AttributeError, ValueError):  # not the record the scan read
+                raise IngestFormatError(_FILE_CHANGED) from None
+            sensor_id = scan.sensors[scan.sensor_col[row]]
+            digests[at] = packet_key_fields(sensor_id, scan.ts_col[row], attrs)
+    return np.frombuffer(b"".join(digests), np.uint64).reshape(-1, 2)
 
 
 def _fold(
@@ -422,27 +459,28 @@ def _fold(
     the scans in block order, so the tally does not depend on the cuts.
     Any other source is scanned here as one block. The fold also stays in
     this process when a name the scan calls (iter_records,
-    parse_timestamp, _flags_for, packet_key_fields) has been replaced at
-    run time, as a tracer or a test does to time or count its calls: the
-    calls made in a forked worker would not reach the replacement's
-    counters. meanwhile runs in a thread beside the scan when the fold
-    forks (see _scan_blocks), and here after the scan when it does not: a
-    thread that waits for the interpreter lock behind a short scan may
-    cost it a whole switch interval.
+    parse_timestamp, _flags_for) has been replaced at run time, as a
+    tracer or a test does to time or count its calls: the calls made in a
+    forked worker would not reach the replacement's counters. (The
+    full_packet digests are taken here, after the scans.) meanwhile runs
+    in a thread beside the scan when the fold forks (see _scan_blocks),
+    and here after the scan when it does not: a thread that waits for the
+    interpreter lock behind a short scan may cost it a whole switch
+    interval.
 
     Raises DatasetRejectedError when more than half of the records are
     malformed.
     """
     prepared = schema.prepared()
     cuts = _cuts(source, config.dataset_format)
-    if len(cuts) == 1 or _SCAN_CALLS != (
-        iter_records, parse_timestamp, _flags_for, packet_key_fields
-    ):
+    if len(cuts) == 1 or _SCAN_CALLS != (iter_records, parse_timestamp, _flags_for):
+        blocks = [source]
         scans = [_scan(source, prepared, config)]
         aside = meanwhile()
     else:
         scans, aside = _scan_blocks(source, cuts, prepared, config, meanwhile)
-    return _merge(scans, config), aside
+        blocks = [source._replace(start=start, stop=stop) for start, stop in cuts]
+    return _merge(scans, blocks, config), aside
 
 
 def sensor_iats(

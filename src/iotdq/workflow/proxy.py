@@ -424,8 +424,10 @@ class _Handler(BaseHTTPRequestHandler):
         state, report_id = doc["state"], doc.get("report_id")
         if state not in ("done", "failed"):
             raise _Refusal(400, "state must be done or failed")
-        if report_id is not None and not _is_object_id(report_id):
-            raise _Refusal(404, "no such object")
+        if report_id is not None:
+            meta = self.server.store.object_meta(report_id)
+            if meta is None or meta["content_kind"] != "report":
+                raise _Refusal(404, "no such report")
         if not self.server.store.complete_assessment(assessment_id, state, report_id):
             raise _Refusal(404, "no running assessment with that id")
         self._send_json(200, {"status": "recorded"})
@@ -503,7 +505,8 @@ def proxy_serve(
     bind_addr: str = "127.0.0.1:0",
     max_object_bytes: int = DEFAULT_MAX_OBJECT_BYTES,
 ) -> None:
-    """Run the proxy in the foreground; prints the per-role tokens."""
+    """Run the proxy in the foreground; prints its URL and where the per-role
+    tokens are written, never a token."""
     host, _, port_text = bind_addr.partition(":")
     port_text = port_text or "0"
     if not (port_text.isascii() and port_text.isdigit()) or int(port_text) > 65535:
@@ -515,8 +518,6 @@ def proxy_serve(
         max_object_bytes=max_object_bytes,
     )
     print(f"proxy listening on {server.base_url}")
-    for role in ROLES:
-        print(f"token[{role}] = {server.token_for(role)}")
     print(f"credentials written to {server.store.root / 'credentials.json'}")
     try:
         server.serve_forever()

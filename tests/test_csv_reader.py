@@ -2,7 +2,8 @@
 
 The reader must yield exactly what the csv.DictReader reader it replaced
 yields (kept below as _oracle), None for each malformed row included, and
-raise the same IngestFormatError for an unreadable source or header.
+raise the same IngestFormatError for an unreadable source or header;
+records_at must give the same record at each ordinal.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iotdq.errors import IngestFormatError
-from iotdq.ingest import _coerce_csv_value, iter_records
+from iotdq.ingest import _coerce_csv_value, iter_records, records_at
 
 _MISSING = object()
 
@@ -62,9 +63,14 @@ def _outcome(read, source: bytes) -> tuple[str, "str | None"]:
 
 def _assert_same_as_oracle(source: bytes) -> None:
     # repr tells 1, 1.0 and True apart and shows the order of the keys.
-    assert _outcome(lambda s: iter_records(s, "csv"), source) == _outcome(
-        _oracle, source
-    )
+    want = _outcome(_oracle, source)
+    assert _outcome(lambda s: iter_records(s, "csv"), source) == want
+    # records_at gives the same record at each ordinal, skipping the others.
+    records = [] if want[1] else list(iter_records(source, "csv"))
+    count = len(records)
+    for ordinals in (range(count), range(0, count, 2), range(1, count, 2)):
+        got = _outcome(lambda s: records_at(s, "csv", ordinals), source)
+        assert got == (repr([records[i] for i in ordinals]), want[1])
 
 
 _OVER_LIMIT = "x" * (csv.field_size_limit() + 1)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import iats_of, ndjson_bytes
 from iotdq.errors import ConfigError, DatasetRejectedError, IngestFormatError
-from iotdq.ingest import iter_records, parse_timestamp
+from iotdq.ingest import iter_records, parse_timestamp, records_at
 from iotdq.model import AssessmentConfig
 from iotdq.pipeline import assess
 from iotdq.schema import parse_schema
@@ -261,6 +261,27 @@ class TestJsonArray:
         # The config refuses the format before assess reads a byte.
         with pytest.raises(ConfigError, match="dataset_format"):
             _report(b"", fmt="parquet")
+
+
+_ELEMENTS = st.lists(
+    st.dictionaries(st.text(max_size=3), st.integers() | st.text(max_size=3), max_size=3)
+    | st.integers()
+    | st.lists(st.integers(), max_size=2)
+    | st.none(),
+    max_size=12,
+)
+
+
+@given(elements=_ELEMENTS, data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_json_array_records_at_match_iter_records(elements, data) -> None:
+    source = json.dumps(elements).encode()
+    records = list(iter_records(source, "json_array"))
+    ordinals = [i for i in range(len(records)) if data.draw(st.booleans())]
+    got = list(records_at(source, "json_array", ordinals))
+    assert got == [records[i] for i in ordinals]
+    with pytest.raises(IngestFormatError, match="no record"):
+        list(records_at(source, "json_array", [len(records)]))
 
 
 class TestRejectionThreshold:

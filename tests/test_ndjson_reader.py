@@ -3,8 +3,10 @@
 The reader must yield exactly what a per-line json.loads reader yields
 (kept below as _oracle), None for each malformed line included, and no
 line may crash the interpreter, whether it reads bytes in memory or a
-file through os.pread. The fold's verdict memo must give the verdicts of
-_flags_for on every record.
+file through os.pread; records_at must give the same record at each
+ordinal. The fold's verdict memo must give the verdicts of _flags_for on
+every record, and the full_packet digests of the rows it reads again must
+be those of the records' flattened attributes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +31,14 @@ import iotdq.ingest
 import iotdq.pipeline
 from conftest import ndjson_bytes
 from iotdq.errors import IngestFormatError
-from iotdq.ingest import _in_file, _iter_ndjson, iter_records, parse_timestamp
+from iotdq.ingest import (
+    _in_file,
+    _in_memory,
+    _iter_ndjson,
+    iter_records,
+    parse_timestamp,
+    records_at,
+)
 from iotdq.metrics_iat import packet_key_fields
 from iotdq.model import AssessmentConfig
 from iotdq.pipeline import assess
@@ -52,23 +62,46 @@ def _oracle(source: bytes):
             yield record if isinstance(record, dict) else None
 
 
-def _read_from_file(source: bytes, block_bytes: int) -> list:
-    """_iter_ndjson over a temporary file holding source, read with os.pread;
-    the reads that look for the end of a block start at 2 bytes, so that
-    they end inside lines and between \\r and \\n."""
+def _read_from_file(source: bytes, block_bytes: int) -> tuple[list, list]:
+    """_iter_ndjson over a temporary file holding source, read with os.pread,
+    and records_at at every ordinal of that file; the reads that look for
+    the end of a block start at 2 bytes, so that they end inside lines and
+    between \\r and \\n."""
     with tempfile.TemporaryFile() as fh:
         fh.write(source)
         fh.flush()
         with mock.patch.object(iotdq.ingest, "_PROBE_BYTES", 2):
-            return list(_iter_ndjson(_in_file(fh.fileno(), len(source)), block_bytes))
+            in_file = _in_file(fh.fileno(), len(source))
+            records = list(_iter_ndjson(in_file, block_bytes))
+            with mock.patch.object(iotdq.ingest, "_BLOCK_BYTES", block_bytes):
+                return records, list(records_at(in_file, "ndjson", range(len(records))))
 
 
 def _assert_same_as_oracle(source: bytes, block_bytes: int) -> None:
     # repr tells 1, 1.0 and True apart and compares NaN equal to itself.
-    want = repr(list(_oracle(source)))
+    records = list(_oracle(source))
+    want = repr(records)
     assert repr(list(_iter_ndjson(source, block_bytes))) == want
     assert repr(list(iter_records(source, "ndjson"))) == want
-    assert repr(_read_from_file(source, block_bytes)) == want
+    from_file, at_in_file = _read_from_file(source, block_bytes)
+    assert repr(from_file) == want
+    assert repr(at_in_file) == want
+    with mock.patch.object(iotdq.ingest, "_BLOCK_BYTES", block_bytes):
+        _assert_records_at_match(source, "ndjson", records)
+
+
+def _assert_records_at_match(source: bytes, fmt: str, records: list) -> None:
+    """records_at over source gives records[i] at each ordinal i: all of
+    them, every other one from each start, and the last alone; one past the
+    last raises."""
+    count = len(records)
+    for ordinals in (range(count), range(0, count, 2), range(1, count, 2)):
+        got = records_at(source, fmt, ordinals)
+        assert repr(list(got)) == repr([records[i] for i in ordinals])
+    if count:
+        assert repr(list(records_at(source, fmt, [count - 1]))) == repr(records[-1:])
+    with pytest.raises(IngestFormatError, match=f"no record {count}"):
+        list(records_at(source, fmt, [count]))
 
 
 _OK = b'{"sensor_id":"a","timestamp":60}'
@@ -491,19 +524,53 @@ def test_full_checks_on_memo_hits_match_oracle(rows, duplicate_key: str) -> None
     assert report.result("M6").evidence["by_attribute"] == per_attribute
 
 
-@given(rows=_PLAN_ROWS)
+# Lines the scan counts as malformed: blank lines are no items at all.
+_JUNK_LINES = [
+    b"",
+    b" \t",
+    b"{x",
+    b"[1]",
+    b'{"sensor_id":"a"}',
+    b'{"timestamp":1,"sensor_id":true}',
+]
+
+
+@given(
+    rows=_PLAN_ROWS,
+    junk=st.lists(
+        st.tuples(st.integers(0, 60), st.sampled_from(_JUNK_LINES)), max_size=8
+    ),
+    crlf=st.booleans(),
+    cores=st.integers(1, 4),
+)
 @settings(max_examples=100, deadline=None)
-def test_memo_hit_digests_match_flattened_attributes(rows) -> None:
-    data = _plan_data(rows)
+def test_tied_row_digests_match_flattened_attributes(rows, junk, crlf, cores) -> None:
+    lines = _plan_data(rows).splitlines()
+    for at, line in junk:
+        lines.insert(at, line)
+    data = (b"\r\n" if crlf else b"\n").join(lines)
     config = AssessmentConfig(format_checks="full", duplicate_key="full_packet")
-    scan = iotdq.pipeline._scan(data, _PLAN_SCHEMA.prepared(), config)
-    want = b"".join(
-        packet_key_fields(
-            record["sensor_id"],
-            parse_timestamp(record["timestamp"]),
-            iotdq.pipeline._attributes(record, "timestamp", "sensor_id")[0],
-        )
+    # The blocks a forked fold would scan, each scanned here.
+    with mock.patch.object(iotdq.pipeline, "_BLOCK_MIN_BYTES", 1), mock.patch.object(
+        os, "sched_getaffinity", lambda _pid: set(range(cores)), create=True
+    ):
+        cuts = iotdq.pipeline._cuts(_in_memory(data), "ndjson")
+    blocks = [_in_memory(data)._replace(start=start, stop=stop) for start, stop in cuts]
+    scans = [iotdq.pipeline._scan(b, _PLAN_SCHEMA.prepared(), config) for b in blocks]
+    valid = [
+        record
         for record in iter_records(data, "ndjson")
-    )
-    assert scan.total == 2 * len(rows)
-    assert bytes(scan.digests) == want
+        if record and "timestamp" in record and isinstance(record["sensor_id"], str)
+    ]
+    keys = [(r["sensor_id"], parse_timestamp(r["timestamp"])) for r in valid]
+    assert sum(scan.total for scan in scans) == len(valid) == 2 * len(rows)
+    tied = [row for row, key in enumerate(keys) if keys.count(key) > 1]
+    # Asked for out of record order, as the merge asks by (sensor, timestamp).
+    tied.sort(key=lambda row: (keys[row], -row))
+    got = iotdq.pipeline._digests(np.array(tied, dtype=np.intp), scans, blocks, config)
+    attributes = [
+        iotdq.pipeline._attributes(record, "timestamp", "sensor_id")[0]
+        for record in valid
+    ]
+    want = [packet_key_fields(*keys[row], attributes[row]) for row in tied]
+    assert got.tobytes() == b"".join(want)

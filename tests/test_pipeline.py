@@ -356,6 +356,28 @@ class TestForkedScan:
             assert report.result("M3").evidence["examples"] == examples
             assert list(report.per_sensor) == ["a", "9"]
 
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_packet_key_digests_only_tied_rows(self, cut_into, monkeypatch, cores) -> None:
+        calls: list[tuple[str, int]] = []
+        digest = iotdq.pipeline.packet_key_fields
+
+        def counting(sensor_id: str, timestamp_ms: int, attributes) -> bytes:
+            calls.append((sensor_id, timestamp_ms))
+            return digest(sensor_id, timestamp_ms, attributes)
+
+        monkeypatch.setattr(iotdq.pipeline, "packet_key_fields", counting)
+        cut_into(cores)
+        config = AssessmentConfig(duplicate_key="full_packet")
+        unique = b"".join(_line("a", i) + b"\n" for i in range(40))
+        for data in (_defect_dataset(0), b"".join(_BOUNDARY_LINES), unique):
+            assert len(_cuts(_in_memory(data), "ndjson")) == cores
+            keys = [(sid, ts) for sid, ts, _ in read_packets(data, config, "ndjson")]
+            calls.clear()
+            assess(data, EDGE_SCHEMA, config)
+            # Once per row whose (sensor, timestamp) another row shares.
+            assert sorted(calls) == sorted(k for k in keys if keys.count(k) > 1)
+            assert bool(calls) == (data is not unique)
+
     def test_sensor_iats_match_one_block(self, cut_into) -> None:
         data = _defect_dataset(3)
         config = AssessmentConfig(duplicate_key="full_packet")
@@ -662,6 +684,27 @@ class TestAssessFile:
             assess_file(str(path), EDGE_SCHEMA, AssessmentConfig())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+    def test_file_rewritten_before_its_tied_rows_are_read_again(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        data = _defect_dataset(0)
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(data)
+        scan = iotdq.pipeline._scan
+
+        def rewriting(*args):
+            scanned = scan(*args)
+            # The same size, with every line now malformed.
+            lines = data.splitlines(keepends=True)
+            path.write_bytes(b"".join(b"{".ljust(len(line) - 1) + b"\n" for line in lines))
+            return scanned
+
+        monkeypatch.setattr(iotdq.pipeline, "_scan", rewriting)
+        config = AssessmentConfig(duplicate_key="full_packet")
+        with pytest.raises(IngestFormatError, match="changed while it was assessed"):
+            assess_file(str(path), EDGE_SCHEMA, config)
 
 
 class TestSensorIats:

@@ -295,6 +295,39 @@ class TestUnissuedIds:
         assert response.status_code == 404
 
 
+    def test_completion_names_only_an_issued_report(self, proxy) -> None:
+        with requests.Session() as session:
+            ids = {kind: _put(proxy, session, kind) for kind in CONTENT_KINDS}
+            doc = {f"{kind}_id": ids[kind] for kind in ("dataset", "schema", "config")}
+            created = session.post(
+                f"{proxy.base_url}/assessments",
+                json=doc,
+                headers=_auth(proxy, "assessor"),
+                timeout=5,
+            ).json()
+            claimed = session.post(
+                f"{proxy.base_url}/assessments/claim",
+                headers=_auth(proxy, "enclave"),
+                timeout=5,
+            ).json()
+            assert claimed["assessment_id"] == created["assessment_id"]
+            url = f"{proxy.base_url}/assessments/{created['assessment_id']}"
+            for report_id in ("0" * 32, ids["dataset"], ids["report"]):
+                response = session.post(
+                    f"{url}/complete",
+                    json={"state": "done", "report_id": report_id},
+                    headers=_auth(proxy, "enclave"),
+                    timeout=5,
+                )
+                record = session.get(url, headers=_auth(proxy, "assessor"), timeout=5)
+                if report_id != ids["report"]:  # never issued, or not a report
+                    assert response.status_code == 404
+                    assert record.json()["state"] == "running"
+            assert response.status_code == 200
+            assert record.json()["state"] == "done"
+            assert record.json()["report_id"] == ids["report"]
+
+
 def test_assessment_request_reads_no_ciphertext(proxy, monkeypatch) -> None:
     with requests.Session() as session:
         doc = {

@@ -254,3 +254,16 @@ def test_a_change_costs_the_same_line_at_any_history(tmp_path, monkeypatch) -> N
         assert last == first
     finally:
         store.journal.close()
+
+
+def test_proxy_prints_no_token(tmp_path: Path) -> None:
+    store = tmp_path / "store"
+    child, _url = _start_proxy(store)
+    tokens = _tokens(store)
+    child.send_signal(signal.SIGKILL)
+    child.wait(timeout=10)
+    with child.stdout:
+        printed = child.stdout.read()
+    assert f"credentials written to {store / 'credentials.json'}" in printed
+    for token in tokens.values():
+        assert token not in printed
