@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage or environment error, 2 dataset rejected.
-The DQ_LOG environment variable sets the log level (debug, info, ...).
+The DQ_LOG environment variable sets the log level (debug, info, ...), and
+IOTDQ_TOKEN is the bearer token of a command given no --token.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .workflow.enclave import EnclaveRunner
 from .workflow.proxy import DEFAULT_MAX_OBJECT_BYTES, proxy_serve
 from .workflow.sealing import KeyPair
 
+_TOKEN_ENV = "IOTDQ_TOKEN"
 _FORMAT_SPELLINGS = {
     "ndjson": "ndjson",
     "csv": "csv",
@@ -207,6 +209,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _add_token(parser: argparse.ArgumentParser) -> None:
+    """--token, required unless _TOKEN_ENV is set: any local user can read a
+    process's arguments, but not its environment."""
+    token = os.environ.get(_TOKEN_ENV)
+    parser.add_argument(
+        "--token",
+        default=token or None,
+        required=not token,
+        help=f"bearer token (default: ${_TOKEN_ENV})",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="iotdq",
@@ -246,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enclave", help="run the enclave worker")
     p.add_argument("--proxy", required=True)
-    p.add_argument("--token", required=True)
+    _add_token(p)
     p.set_defaults(func=cmd_enclave)
 
     p = sub.add_parser("code-hash", help="print this installation's code hash")
@@ -260,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--proxy", required=True)
-    p.add_argument("--token", required=True)
+    _add_token(p)
     p.add_argument("--domain", required=True)
     p.add_argument("--expected-code-hash", required=True)
     p.add_argument("--keyfile", required=True)
@@ -271,20 +285,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset-id", required=True)
     p.add_argument("--schema-id", required=True)
     p.add_argument("--proxy", required=True)
-    p.add_argument("--token", required=True)
+    _add_token(p)
     p.add_argument("--domain", required=True)
     p.set_defaults(func=cmd_request)
 
     p = sub.add_parser("status", help="check an assessment's state")
     p.add_argument("--assessment-id", required=True)
     p.add_argument("--proxy", required=True)
-    p.add_argument("--token", required=True)
+    _add_token(p)
     p.set_defaults(func=cmd_status)
 
     p = sub.add_parser("fetch", help="assessee: download and unseal the report")
     p.add_argument("--assessment-id", required=True)
     p.add_argument("--proxy", required=True)
-    p.add_argument("--token", required=True)
+    _add_token(p)
     p.add_argument("--keyfile", required=True)
     p.add_argument("--out", help="report path, or - for stdout")
     p.set_defaults(func=cmd_fetch)

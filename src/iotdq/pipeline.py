@@ -13,21 +13,27 @@ The fold has two parts. _scan walks the records of one block in order:
 per-record normalisation and schema flags, per-record key columns (the
 timestamp and the sensor index) and the item ordinal of each malformed
 record. _merge joins the blocks' scans in block order and deduplicates
-once: a stable sort by (sensor, timestamp) keeps the first occurrence in
-record order and yields each sensor's sorted timestamps. Under the
-full_packet duplicate key, equal packets can only lie in a run of equal
-(sensor, timestamp), so only the rows of such runs are digested with
-packet_key_fields, and each run is then sorted by digest. Those rows are
-read again in this process once the scans are joined: records_at walks
-each of their blocks once more, as iter_records walked it, and decodes
-only their records. A row whose (sensor, timestamp) is unique costs no
-digest and no second decode. A large NDJSON source is cut at newlines
-into one block per usable core, and every block but the first is scanned
-in a forked worker process; any other source is one block. Each process
-reads only its own block, through ingest's one reader of offsets: a slice
-of bytes in memory, or os.pread of a file opened by ingest._open_dataset,
-so that assess_file and sensor_iats never hold a regular NDJSON file
-whole.
+sensor by sensor: one stable sort of the sensor indices, kept in the
+narrowest unsigned type that holds them, groups the rows by sensor in
+record order; each sensor's timestamps are then gathered from the scans'
+columns and sorted on their own, stably, which keeps the first
+occurrence in record order and yields the sensor's sorted timestamps.
+Beside the scans' columns (12 bytes a row), the merge holds 17 bytes a
+row up to 256 sensors (the index, the sort order and the kept
+timestamps) and one sensor's temporaries. Under the full_packet
+duplicate key, equal packets can only lie in a run of equal (sensor,
+timestamp), so only the rows of such runs are digested with
+packet_key_fields, all at once, and each run is then sorted by digest.
+Those rows are read again in this process once the scans are joined:
+records_at walks each of their blocks once more, as iter_records walked
+it, and decodes only their records. A row whose (sensor, timestamp) is
+unique costs no digest and no second decode. A large NDJSON source is
+cut at newlines into one block per usable core, and every block but the
+first is scanned in a forked worker process; any other source is one
+block. Each process reads only its own block, through ingest's one
+reader of offsets: a slice of bytes in memory, or os.pread of a file
+opened by ingest._open_dataset, so that assess_file and sensor_iats
+never hold a regular NDJSON file whole.
 
 Records arrive from ingest.iter_records, which decodes NDJSON lines with
 orjson (the C scanner or json.loads where orjson cannot be trusted).
@@ -54,7 +60,7 @@ import signal
 from array import array
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, BinaryIO, Callable, NamedTuple, NoReturn
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -345,6 +351,19 @@ def _merge(
     """Join block scans in block order and deduplicate; blocks[i] is the
     source that scans[i] scanned.
 
+    Rows are the valid records of all scans, in record order. One stable
+    argsort of the sensor column (uint8 up to 256 sensors, a radix sort)
+    groups them by sensor, in record order within a sensor; each sensor's
+    segment then gathers its timestamps from the scans' columns and sorts
+    them on its own, stably, so the first of each run of equal keys is the
+    first in record order. Beside the scans' own columns, what lives the
+    whole merge is the sensor column (1 byte a row up to 256 sensors, 2 up
+    to 65,536), the sort order (8 bytes a row) and the kept timestamps
+    (8 bytes a kept row); the rest is one sensor's segment at a time.
+    Under full_packet the segments are walked twice: once to find the
+    rows of tied runs, which are digested together, and once to keep the
+    first of each run of equal digests.
+
     Raises DatasetRejectedError when more than half of the records are
     malformed.
     """
@@ -360,50 +379,96 @@ def _merge(
 
     violations: Counter = Counter()
     sensor_index: dict[str, int] = {}
-    sensor_parts = []
     for scan in scans:
         violations.update(scan.violations)
-        remap = np.array(
-            [sensor_index.setdefault(s, len(sensor_index)) for s in scan.sensors],
-            dtype=np.intp,
-        )
-        sensor_parts.append(remap[np.frombuffer(scan.sensor_col, dtype=np.intc)])
-    sensors = np.concatenate(sensor_parts)
-    ts = np.concatenate([np.frombuffer(scan.ts_col, dtype=np.int64) for scan in scans])
+        for sensor_id in scan.sensors:
+            sensor_index.setdefault(sensor_id, len(sensor_index))
+    sensor_ids = list(sensor_index)
+    sensors = np.empty(total, np.min_scalar_type(max(len(sensor_ids) - 1, 0)))
+    offsets = np.cumsum([0] + [scan.total for scan in scans])
+    for scan, start, stop in zip(scans, offsets, offsets[1:]):
+        remap = np.array([sensor_index[s] for s in scan.sensors], sensors.dtype)
+        np.take(remap, np.frombuffer(scan.sensor_col, np.intc), out=sensors[start:stop])
+    order = np.argsort(sensors, kind="stable")
+    ends = np.cumsum(np.bincount(sensors, minlength=len(sensor_ids))).tolist()
+    del sensors
+    ts_cols = [np.frombuffer(scan.ts_col, np.int64) for scan in scans]
 
-    # A stable sort by (sensor, timestamp) keeps equal keys in record order,
-    # so the first of each run of equal keys is kept.
-    order = np.lexsort((ts, sensors))
-    by_sensor = sensors[order]
-    by_ts = ts[order]
-    repeat = (by_sensor[1:] == by_sensor[:-1]) & (by_ts[1:] == by_ts[:-1])
-    if config.duplicate_key == "full_packet" and repeat.any():
+    tied_rows = digests = None
+    if config.duplicate_key == "full_packet":
         # The digest covers the sensor id and the timestamp, so equal digests
         # lie in one run of equal (sensor, timestamp): only the rows of such
-        # runs are digested, and sorted by digest, stably and within their run.
-        tied = np.flatnonzero(
-            np.concatenate(([False], repeat)) | np.concatenate((repeat, [False]))
-        )
-        run = np.cumsum(np.concatenate(([True], ~repeat)))[tied]
-        rows = order[tied]
-        digests = _digests(rows, scans, blocks, config)
-        sort = np.lexsort((digests[:, 1], digests[:, 0], run))
-        order[tied] = rows[sort]
-        digests = digests[sort]  # now in the order of tied
-        pairs = np.flatnonzero(repeat)
-        at = np.searchsorted(tied, pairs)  # pairs + 1 is at tied[at + 1]
-        repeat[pairs] = (digests[at] == digests[at + 1]).all(1)
-    first = np.concatenate(([True], ~repeat))[: order.size]
+        # runs are digested, all at once, and the segments are walked again.
+        tied = [
+            rows[_tied(repeat)]
+            for rows, _, repeat in _segments(order, ends, offsets, ts_cols)
+            if repeat.any()
+        ]
+        if tied:
+            tied_rows = np.sort(np.concatenate(tied))
+            digests = _digests(tied_rows, scans, blocks, config)
 
-    sensor_ids = list(sensor_index)
-    ends = np.cumsum(np.bincount(by_sensor[first], minlength=len(sensor_ids)))
-    ts_buffers = np.split(by_ts[first], ends[:-1]) if sensor_ids else []
-    dups = np.bincount(by_sensor[~first], minlength=len(sensor_ids)).tolist()
-    dup_examples = [
-        [sensor_ids[sensors[i]], int(ts[i])]
-        for i in np.sort(order[~first])[:EVIDENCE_CAP]
-    ]
+    ts_buffers: list[np.ndarray] = []
+    dups: list[int] = []
+    examples: list[tuple[int, int, int]] = []  # (row, sensor index, timestamp)
+    for sidx, (rows, ts, repeat) in enumerate(_segments(order, ends, offsets, ts_cols)):
+        if digests is not None and repeat.any():
+            # Each run of equal timestamps is sorted by digest, stably, so
+            # equal packets stay in record order.
+            tied = _tied(repeat)
+            run = np.cumsum(np.concatenate(([True], ~repeat)))[tied]
+            held = digests[np.searchsorted(tied_rows, rows[tied])]
+            sort = np.lexsort((held[:, 1], held[:, 0], run))
+            rows[tied] = rows[tied][sort]
+            held = held[sort]
+            pairs = np.flatnonzero(repeat)
+            at = np.searchsorted(tied, pairs)  # pairs + 1 is at tied[at + 1]
+            repeat[pairs] = (held[at] == held[at + 1]).all(1)
+        first = np.concatenate(([True], ~repeat))
+        ts_buffers.append(ts[first])
+        dup_rows = rows[~first]
+        dups.append(dup_rows.size)
+        if dup_rows.size:
+            earliest = np.argsort(dup_rows)[:EVIDENCE_CAP]
+            examples += zip(
+                dup_rows[earliest].tolist(),
+                [sidx] * earliest.size,
+                ts[~first][earliest].tolist(),
+            )
+            examples.sort()
+            del examples[EVIDENCE_CAP:]
+    dup_examples = [[sensor_ids[sidx], t] for _, sidx, t in examples]
     return _Tally(total, violations, dup_examples, sensor_index, ts_buffers, dups)
+
+
+def _segments(
+    order: np.ndarray, ends: list[int], offsets: np.ndarray, ts_cols: list[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per sensor, its rows and their timestamps sorted stably by timestamp,
+    and where each row repeats the timestamp of the row before.
+
+    order[ends[k - 1]:ends[k]] are sensor k's rows in record order; the
+    timestamps of rows offsets[i] to offsets[i + 1] are ts_cols[i].
+    """
+    start = 0
+    for end in ends:
+        rows = order[start:end]
+        start = end
+        ts = np.empty(rows.size, np.int64)
+        cut = np.searchsorted(rows, offsets)  # rows ascend within a sensor
+        for col, offset, a, b in zip(ts_cols, offsets, cut, cut[1:]):
+            ts[a:b] = col[rows[a:b] - offset]
+        by_ts = np.argsort(ts, kind="stable")
+        ts = ts[by_ts]
+        yield rows[by_ts], ts, ts[1:] == ts[:-1]
+
+
+def _tied(repeat: np.ndarray) -> np.ndarray:
+    """Positions of the rows in a run of two or more equal keys, given
+    where each row repeats the key of the row before."""
+    return np.flatnonzero(
+        np.concatenate(([False], repeat)) | np.concatenate((repeat, [False]))
+    )
 
 
 def _digests(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import os
 import re
 import secrets
@@ -88,6 +89,7 @@ DEFAULT_MAX_OBJECT_BYTES = 1 << 30  # dataset size cap
 _SOCKET_TIMEOUT = 30.0  # seconds a connection may stall; enclaves poll every 0.2 s
 _WRITE_SLICE = 1 << 16  # bytes of a response body sent under one timeout
 _TOKEN_TTL = 24 * 3600.0
+_TOKEN = re.compile(r"[0-9a-f]{48}")  # secrets.token_hex(24)
 _OBJECT_ID = re.compile(r"[0-9a-f]{32}")  # secrets.token_hex(16)
 
 
@@ -433,8 +435,31 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, {"status": "recorded"})
 
 
+def _saved_tokens(path: Path) -> "dict[str, AccessToken] | None":
+    """The per-role tokens that the credentials file at path holds, or None
+    when it is missing, unreadable or expired."""
+    try:
+        saved = load_json(path.read_bytes(), WorkflowError, "credentials file")
+    except (OSError, WorkflowError):
+        return None
+    expiry = saved.get("expires_at")
+    if type(expiry) not in (int, float) or not time.time() < expiry < math.inf:
+        return None
+    tokens = [saved.get(role) for role in ROLES]
+    if not all(isinstance(t, str) and _TOKEN.fullmatch(t) for t in tokens):
+        return None
+    if len(set(tokens)) < len(ROLES):  # a token names one role
+        return None
+    return {
+        role: AccessToken(token=token, principal=role, expiry=float(expiry))
+        for role, token in zip(ROLES, tokens)
+    }
+
+
 class ProxyServer(ThreadingHTTPServer):
-    """Embeddable proxy; issues one bearer token per role at startup."""
+    """Embeddable proxy. Its per-role bearer tokens are those in its store's
+    credentials.json while they are unexpired, so that a restart keeps them;
+    otherwise it issues new ones at startup and writes them there."""
 
     daemon_threads = True
 
@@ -448,23 +473,25 @@ class ProxyServer(ThreadingHTTPServer):
         super().__init__((host, port), _Handler)
         self.store = _Store(store_dir)
         self.max_object_bytes = max_object_bytes
-        expiry = time.time() + _TOKEN_TTL
-        # Hex, so that no token starts with "-": `--token TOKEN` would take
-        # such a token for an option.
-        self._tokens = {
-            role: AccessToken(
-                token=secrets.token_hex(24), principal=role, expiry=expiry
-            )
-            for role in ROLES
-        }
-        self._by_secret = {t.token: t for t in self._tokens.values()}
+        credentials = self.store.root / "credentials.json"
+        tokens = _saved_tokens(credentials)
+        if tokens is None:
+            expiry = time.time() + _TOKEN_TTL
+            # Hex, so that no token starts with "-": `--token TOKEN` would take
+            # such a token for an option.
+            tokens = {
+                role: AccessToken(
+                    token=secrets.token_hex(24), principal=role, expiry=expiry
+                )
+                for role in ROLES
+            }
+            saved: dict[str, Any] = {role: t.token for role, t in tokens.items()}
+            saved["expires_at"] = expiry
+            write_private(credentials, json.dumps(saved, sort_keys=True).encode())
+        self._tokens = tokens
+        self._by_secret = {t.token: t for t in tokens.values()}
         self._thread: "threading.Thread | None" = None
         self._open: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
-        credentials = {role: t.token for role, t in self._tokens.items()}
-        write_private(
-            self.store.root / "credentials.json",
-            json.dumps(credentials, sort_keys=True).encode("utf-8"),
-        )
 
     @property
     def base_url(self) -> str:

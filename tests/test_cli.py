@@ -513,3 +513,72 @@ class TestDataBlindCommands:
         )
         assert code == 1
         assert "does not match" in capsys.readouterr().err
+
+
+class TestTokenFromTheEnvironment:
+    """Every command that takes --token reads IOTDQ_TOKEN when it is not given."""
+
+    def test_environment_token_is_used(
+        self, dataset, proxy, capsys, monkeypatch
+    ) -> None:
+        enclave = EnclaveRunner(proxy.base_url, proxy.token_for("enclave"))
+        with closing(enclave):
+            enclave.register()
+        submitted = clients.assessee_submit(
+            dataset["data"].read_bytes(), dataset["schema"].read_bytes(),
+            proxy.base_url, proxy.token_for("assessee"), domain="d",
+            expected_code_hash=enclave.code_hash, reply_keypair=KeyPair.generate(),
+        )
+        config = dataset["tmp"] / "config.json"
+        config.write_bytes(AssessmentConfig(domain="d").to_json())
+        monkeypatch.setenv("IOTDQ_TOKEN", proxy.token_for("assessor"))
+        assert main([
+            "request", "--config", str(config), "--dataset-id", submitted.dataset_id,
+            "--schema-id", submitted.schema_id, "--proxy", proxy.base_url,
+            "--domain", "d",
+        ]) == 0
+        assessment_id = capsys.readouterr().out.split()[1]
+        status = ["status", "--assessment-id", assessment_id, "--proxy", proxy.base_url]
+        assert main(status) == 0
+        assert json.loads(capsys.readouterr().out)["state"] == "pending"
+
+    def test_argument_wins_over_the_environment(
+        self, proxy, capsys, monkeypatch
+    ) -> None:
+        monkeypatch.setenv("IOTDQ_TOKEN", "0" * 48)
+        status = ["status", "--assessment-id", "0" * 32, "--proxy", proxy.base_url]
+        assert main(status) == 1
+        assert "401" in capsys.readouterr().err
+        assert main([*status, "--token", proxy.token_for("assessor")]) == 1
+        assert "404" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unset", ["absent", "empty"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enclave"],
+            ["submit", "--data", "d", "--schema", "s", "--domain", "x",
+             "--expected-code-hash", "h", "--keyfile", "k"],
+            ["request", "--config", "c", "--dataset-id", "d", "--schema-id", "s",
+             "--domain", "x"],
+            ["status", "--assessment-id", "a"],
+            ["fetch", "--assessment-id", "a", "--keyfile", "k"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_token_is_a_usage_error(self, capsys, monkeypatch, argv, unset) -> None:
+        if unset == "absent":
+            monkeypatch.delenv("IOTDQ_TOKEN", raising=False)
+        else:
+            monkeypatch.setenv("IOTDQ_TOKEN", "")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--proxy", "http://127.0.0.1:9"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: iotdq {argv[0]}")
+        assert "required: --token" in err
+
+    def test_help_names_the_variable(self, capsys) -> None:
+        with pytest.raises(SystemExit):
+            main(["status", "--help"])
+        assert "$IOTDQ_TOKEN" in capsys.readouterr().out

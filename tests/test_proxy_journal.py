@@ -1,8 +1,9 @@
 """The proxy's journal: every fact one appended line, replayed at start.
 
 A restarted proxy keeps its objects, its attestation and each assessment
-in its last state, whatever killed the one before. Each state change
-appends one line whose size does not grow with the store's history.
+in its last state, whatever killed the one before, and its unexpired
+tokens. Each state change appends one line whose size does not grow with
+the store's history.
 """
 
 from __future__ import annotations
@@ -11,10 +12,14 @@ import json
 import logging
 import os
 import signal
+import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
 
 import iotdq
 from iotdq.model import AssessmentConfig
@@ -33,7 +38,7 @@ from iotdq.workflow.clients import (
     assessor_request,
 )
 from iotdq.workflow.enclave import EnclaveRunner
-from iotdq.workflow.proxy import _Store
+from iotdq.workflow.proxy import ROLES, ProxyServer, _Store
 from iotdq.workflow.sealing import KeyPair, seal
 
 SCHEMA_BYTES = json.dumps(DEFAULT_SCHEMA).encode()
@@ -64,7 +69,8 @@ def _kill(child: subprocess.Popen) -> None:
 
 
 def _tokens(store: Path) -> dict[str, str]:
-    return json.loads((store / "credentials.json").read_bytes())
+    saved = json.loads((store / "credentials.json").read_bytes())
+    return {role: saved[role] for role in ROLES}
 
 
 def _files(root: Path) -> dict[str, bytes]:
@@ -110,7 +116,7 @@ def test_a_killed_proxy_restarts_with_its_queue(tmp_path: Path) -> None:
     child, url = _start_proxy(store)
     try:
         renewed = _tokens(store)
-        assert renewed["assessee"] != tokens["assessee"]  # tokens are minted anew
+        assert renewed == tokens  # unexpired tokens outlive the proxy
         report = assessee_fetch_report(done, url, renewed["assessee"], keypair)
         assert serialize_report(report) == serialize_report(
             assess(data, parse_schema(DEFAULT_SCHEMA), config)
@@ -267,3 +273,83 @@ def test_proxy_prints_no_token(tmp_path: Path) -> None:
     assert f"credentials written to {store / 'credentials.json'}" in printed
     for token in tokens.values():
         assert token not in printed
+
+
+def _claim_status(server: ProxyServer, token: str) -> int:
+    with ProxyClient(server.base_url, token) as client:
+        return client.request("POST", "/assessments/claim").status_code
+
+
+def test_a_restarted_proxy_keeps_its_tokens(tmp_path: Path) -> None:
+    store = str(tmp_path / "store")
+    first = ProxyServer(store)
+    tokens = {role: first.token_for(role) for role in ROLES}
+    expiry = first.lookup_token(tokens["enclave"]).expiry
+    first.server_close()
+    saved = (tmp_path / "store" / "credentials.json").read_bytes()
+    server = ProxyServer(store)
+    server.start()
+    try:
+        assert {role: server.token_for(role) for role in ROLES} == tokens
+        assert server.lookup_token(tokens["enclave"]).expiry == expiry
+        assert _claim_status(server, tokens["enclave"]) == 204
+        assert _claim_status(server, tokens["assessee"]) == 403
+    finally:
+        server.stop()
+    assert (tmp_path / "store" / "credentials.json").read_bytes() == saved
+
+
+def _expired(saved: dict) -> dict:
+    return {**saved, "expires_at": time.time() - 1}
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _expired,
+        lambda saved: {**saved, "expires_at": float("nan")},
+        lambda saved: {**saved, "expires_at": float("inf")},
+        lambda saved: {**saved, "expires_at": True},
+        lambda saved: {k: v for k, v in saved.items() if k != "expires_at"},
+        lambda saved: {k: v for k, v in saved.items() if k != "assessor"},
+        lambda saved: {**saved, "assessor": saved["assessee"]},
+        lambda saved: {**saved, "assessor": ["a" * 48]},
+        lambda saved: {**saved, "assessor": "-" + saved["assessor"][1:]},
+        lambda saved: [saved],
+        lambda saved: None,  # the file is removed
+    ],
+)
+def test_expired_or_unreadable_tokens_are_replaced(tmp_path: Path, damage) -> None:
+    store = tmp_path / "store"
+    ProxyServer(str(store)).server_close()
+    path = store / "credentials.json"
+    saved = json.loads(path.read_bytes())
+    damaged = damage(saved)
+    if damaged is None:
+        path.unlink()
+    else:
+        path.write_text(json.dumps(damaged))
+    server = ProxyServer(str(store))
+    server.start()
+    try:
+        renewed = _tokens(store)
+        assert renewed == {role: server.token_for(role) for role in ROLES}
+        assert not set(renewed.values()) & {saved[role] for role in ROLES}
+        expiry = json.loads(path.read_bytes())["expires_at"]
+        assert time.time() < expiry <= time.time() + proxy_module._TOKEN_TTL
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert _claim_status(server, saved["enclave"]) == 401
+        assert _claim_status(server, renewed["enclave"]) == 204
+    finally:
+        server.stop()
+
+
+def test_unreadable_credentials_file_is_replaced(tmp_path: Path) -> None:
+    store = tmp_path / "store"
+    ProxyServer(str(store)).server_close()
+    path = store / "credentials.json"
+    for junk in (b"", b"{", b"\xff\xfe", b"[" * 100_000):
+        path.write_bytes(junk)
+        server = ProxyServer(str(store))
+        server.server_close()
+        assert _tokens(store) == {role: server.token_for(role) for role in ROLES}

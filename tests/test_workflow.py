@@ -376,8 +376,10 @@ class TestProxyScopes:
     def test_credentials_file_written(self, proxy: ProxyServer) -> None:
         path = proxy.store.root / "credentials.json"
         credentials = json.loads(path.read_bytes())
-        assert set(credentials) == set(ROLES)
+        assert set(credentials) == {*ROLES, "expires_at"}
         assert credentials["assessee"] == proxy.token_for("assessee")
+        token = proxy.lookup_token(credentials["assessee"])
+        assert credentials["expires_at"] == token.expiry
         assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
