@@ -46,7 +46,10 @@ _EPOCH_MS_FLOOR = 1e11  # numeric timestamps at or above this are milliseconds
 _EPOCH_MS_FLOOR_INT = int(_EPOCH_MS_FLOOR)
 _EXACT_INT = 1 << 53  # integers below this magnitude are exact as floats
 _INT64 = 1 << 63  # timestamps are kept as int64 milliseconds
-_BLOCK_BYTES = 4 << 20  # NDJSON masking unit; each block ends after a newline
+# NDJSON is read, masked and split in blocks of this size, each ending after
+# a newline. A block, its mask and its split lines are what the reader
+# holds; a 500k-record scan took as long in 4, 2, 1 and 0.5 MiB blocks.
+_BLOCK_BYTES = 1 << 20
 _PROBE_BYTES = 4 << 10  # first read when looking for the end of a line
 _FILE_CHANGED = "dataset file changed while it was assessed"
 # Valid JSON nested d deep takes at least 2d bytes, so a shorter line stays

@@ -18,11 +18,12 @@ narrowest unsigned type that holds them, groups the rows by sensor in
 record order; each sensor's timestamps are then gathered from the scans'
 columns and sorted on their own, stably, which keeps the first
 occurrence in record order and yields the sensor's sorted timestamps.
-Beside the scans' columns (12 bytes a row), the merge holds 17 bytes a
-row up to 256 sensors (the index, the sort order and the kept
-timestamps) and one sensor's temporaries. Under the full_packet
-duplicate key, equal packets can only lie in a run of equal (sensor,
-timestamp), so only the rows of such runs are digested with
+Beside the scans' columns (12 bytes a row), the merge holds at most 13
+bytes a row up to 256 sensors and 2**32 rows (the index and the sort
+order while the order is narrowed from 8 to 4 bytes a row; then that
+order and the kept timestamps) and one sensor's temporaries. Under the
+full_packet duplicate key, equal packets can only lie in a run of equal
+(sensor, timestamp), so only the rows of such runs are digested with
 packet_key_fields, all at once, and each run is then sorted by digest.
 Those rows are read again in this process once the scans are joined:
 records_at walks each of their blocks once more, as iter_records walked
@@ -202,14 +203,17 @@ def _scan(
                 raise ValueError(f"missing timestamp field {ts_field!r}")
             timestamp_ms = parse_timestamp(record[ts_field])
             raw_id = record.get(sid_field)
-            if isinstance(raw_id, bool) or raw_id is None:
-                raise ValueError(f"missing sensor id field {sid_field!r}")
-            if isinstance(raw_id, int):
-                sensor_id = str(raw_id)
-            elif isinstance(raw_id, str) and raw_id.strip():
-                sensor_id = raw_id
-            else:
-                raise ValueError("sensor id must be a non-empty string or integer")
+            # Every key of sensor_index is an id that passed the rule below.
+            sidx = sensor_index.get(raw_id) if type(raw_id) is str else None
+            if sidx is None:
+                if isinstance(raw_id, bool) or raw_id is None:
+                    raise ValueError(f"missing sensor id field {sid_field!r}")
+                if isinstance(raw_id, int):
+                    sensor_id = str(raw_id)
+                elif isinstance(raw_id, str) and raw_id.strip():
+                    sensor_id = raw_id
+                else:
+                    raise ValueError("sensor id must be a non-empty string or integer")
             signature = (*record, *map(type, record.values()))
             verdict = memo.get(signature)
             if verdict is None:
@@ -236,9 +240,8 @@ def _scan(
         for hit in hits:
             violations[hit] += 1
 
-        sidx = sensor_index.get(sensor_id)
         if sidx is None:
-            sidx = sensor_index[sensor_id] = len(sensor_index)
+            sidx = sensor_index.setdefault(sensor_id, len(sensor_index))
         sensor_col.append(sidx)
         ts_col.append(timestamp_ms)
     return _Scan(total, malformed, violations, list(sensor_index), sensor_col, ts_col)
@@ -326,13 +329,21 @@ def _scan_blocks(
             start, stop = cuts[0]
             scans = [_scan(source._replace(start=start, stop=stop), prepared, config)]
         for pipe in pipes:
-            with pipe:
-                payload = pipe.read()
+            # Unpickled as it arrives, so the stream is never held beside the
+            # scan decoded from it. A worker that died mid-result leaves a truncated
+            # stream, which is not read as a result once the worker is reaped.
+            unread = None
+            try:
+                with pipe:
+                    ok, result = pickle.load(pipe)
+            except Exception as exc:
+                unread = exc
             _, status = os.waitpid(workers.pop(0), 0)
-            if status:
+            if status or unread is not None:
                 code = os.waitstatus_to_exitcode(status)
-                raise RuntimeError(f"a fold worker ended without a result (exit {code})")
-            ok, result = pickle.loads(payload)
+                raise RuntimeError(
+                    f"a fold worker ended without a result (exit {code})"
+                ) from unread
             if not ok:
                 raise result
             scans.append(result)
@@ -357,9 +368,12 @@ def _merge(
     segment then gathers its timestamps from the scans' columns and sorts
     them on its own, stably, so the first of each run of equal keys is the
     first in record order. Beside the scans' own columns, what lives the
-    whole merge is the sensor column (1 byte a row up to 256 sensors, 2 up
-    to 65,536), the sort order (8 bytes a row) and the kept timestamps
-    (8 bytes a kept row); the rest is one sensor's segment at a time.
+    whole merge is the sort order, narrowed from the argsort's intp to the
+    narrowest unsigned type that holds the row count (4 bytes a row below
+    2**32 rows), and the kept timestamps (8 bytes a kept row); the sensor
+    column (1 byte a row up to 256 sensors, 2 up to 65,536) lives only
+    until the order is narrowed, and the rest is one sensor's segment at a
+    time.
     Under full_packet the segments are walked twice: once to find the
     rows of tied runs, which are digested together, and once to keep the
     first of each run of equal digests.
@@ -389,7 +403,9 @@ def _merge(
     for scan, start, stop in zip(scans, offsets, offsets[1:]):
         remap = np.array([sensor_index[s] for s in scan.sensors], sensors.dtype)
         np.take(remap, np.frombuffer(scan.sensor_col, np.intc), out=sensors[start:stop])
+    # 4 bytes a row below 2**32 rows, not intp's 8.
     order = np.argsort(sensors, kind="stable")
+    order = order.astype(np.min_scalar_type(total), copy=False)
     ends = np.cumsum(np.bincount(sensors, minlength=len(sensor_ids))).tolist()
     del sensors
     ts_cols = [np.frombuffer(scan.ts_col, np.int64) for scan in scans]

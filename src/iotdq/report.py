@@ -9,7 +9,8 @@ digits, compact separators, trailing newline.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 from .errors import AggregationError, load_json
 from .model import (

@@ -458,8 +458,9 @@ def _saved_tokens(path: Path) -> "dict[str, AccessToken] | None":
 
 class ProxyServer(ThreadingHTTPServer):
     """Embeddable proxy. Its per-role bearer tokens are those in its store's
-    credentials.json while they are unexpired, so that a restart keeps them;
-    otherwise it issues new ones at startup and writes them there."""
+    credentials.json while they are unexpired, so that a restart keeps them
+    (reused_tokens is then True); otherwise it issues new ones at startup
+    and writes them there."""
 
     daemon_threads = True
 
@@ -475,6 +476,7 @@ class ProxyServer(ThreadingHTTPServer):
         self.max_object_bytes = max_object_bytes
         credentials = self.store.root / "credentials.json"
         tokens = _saved_tokens(credentials)
+        self.reused_tokens = tokens is not None
         if tokens is None:
             expiry = time.time() + _TOKEN_TTL
             # Hex, so that no token starts with "-": `--token TOKEN` would take
@@ -533,7 +535,7 @@ def proxy_serve(
     max_object_bytes: int = DEFAULT_MAX_OBJECT_BYTES,
 ) -> None:
     """Run the proxy in the foreground; prints its URL and where the per-role
-    tokens are written, never a token."""
+    tokens are written, or reused from, never a token."""
     host, _, port_text = bind_addr.partition(":")
     port_text = port_text or "0"
     if not (port_text.isascii() and port_text.isdigit()) or int(port_text) > 65535:
@@ -545,7 +547,8 @@ def proxy_serve(
         max_object_bytes=max_object_bytes,
     )
     print(f"proxy listening on {server.base_url}")
-    print(f"credentials written to {server.store.root / 'credentials.json'}")
+    done = "reused from" if server.reused_tokens else "written to"
+    print(f"credentials {done} {server.store.root / 'credentials.json'}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

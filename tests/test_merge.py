@@ -303,5 +303,6 @@ def test_merge_memory_per_row() -> None:
     finally:
         tracemalloc.stop()
     assert sum(buffer.size for buffer in tally.ts_buffers) + sum(tally.dups) == 2 * rows
-    # The tally's own kept timestamps are 8 bytes a row of this.
-    assert peak <= 32 * 2 * rows, f"{peak / (2 * rows):.1f} bytes a row"
+    # The tally's own kept timestamps are 8 bytes a row of this; the peak,
+    # 13.0 bytes a row, is while the sort order is narrowed to uint32.
+    assert peak <= 15 * 2 * rows, f"{peak / (2 * rows):.1f} bytes a row"

@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
@@ -227,6 +228,24 @@ def test_blocks_keep_lines_whole_and_indices_running() -> None:
     source = ndjson_bytes(lines)
     for block_bytes in (1, 5, 33, 1000):
         assert list(_iter_ndjson(source, block_bytes)) == lines
+
+
+def test_reader_holds_about_a_block() -> None:
+    line = (
+        b'{"sensor_id":"sensor-03","timestamp":1767225600,"pm25":12.5,'
+        b'"temperature":21.5,"humidity":40.25,"status":"ok"}\n'
+    )
+    source = line * ((16 << 20) // len(line) + 1)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in iter_records(source, "ndjson"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == source.count(b"\n")
+    # A block, its mask and its split lines: 3.4 MiB in 1 MiB blocks, and
+    # 13.5 MiB in 4 MiB blocks, which this bound refuses.
+    assert peak < 5 << 20, f"{peak / (1 << 20):.2f} MiB"
 
 
 # Far deeper than the interpreter's recursion limit.
@@ -522,6 +541,98 @@ def test_full_checks_on_memo_hits_match_oracle(rows, duplicate_key: str) -> None
             if kind in FORMAT_KINDS:
                 per_attribute[name] = per_attribute.get(name, 0) + 1
     assert report.result("M6").evidence["by_attribute"] == per_attribute
+
+
+def _sensor_id_by_the_rule(raw) -> str:
+    """A record's sensor id as every record's id is judged: bool and None
+    refused, an int as its str, a str that is not blank as itself."""
+    if isinstance(raw, bool) or raw is None:
+        raise ValueError("missing sensor id")
+    if isinstance(raw, int):
+        return str(raw)
+    if isinstance(raw, str) and raw.strip():
+        return raw
+    raise ValueError("sensor id must be a non-empty string or integer")
+
+
+def _key_columns_by_the_rule(data: bytes) -> tuple:
+    """The sensors, sensor column, timestamp column and malformed ordinals
+    that a scan of data must give, every record's id judged in full."""
+    sensors: dict[str, int] = {}
+    sensor_col, ts_col, malformed = [], [], []
+    for ordinal, line in enumerate(data.splitlines()):
+        record = json.loads(line)
+        try:
+            timestamp = parse_timestamp(record["timestamp"])
+            sensor_id = _sensor_id_by_the_rule(record.get("sensor_id"))
+            iotdq.pipeline._attributes(record, "timestamp", "sensor_id")
+        except (KeyError, ValueError):
+            malformed.append(ordinal)
+            continue
+        sensor_col.append(sensors.setdefault(sensor_id, len(sensors)))
+        ts_col.append(timestamp)
+    return list(sensors), sensor_col, ts_col, malformed
+
+
+_DROP = object()  # marks a field left out of the record
+_SENSOR_IDS = st.one_of(
+    st.sampled_from(
+        [5, "5", -5, 2**70, True, False, None, "", " ", "\t\n", "a", " a ", 5.0,
+         "sensor-01", "\u00df", "\u4f20\u611f", "\U0001f321", [1], ["a"], {"a": 1}, {}]
+    ),
+    st.text(max_size=3),
+    st.integers(-10, 10),
+)  # fmt: skip
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.one_of(st.just(_DROP), _SENSOR_IDS),
+            st.sampled_from([60, "2026-01-01T00:00:00Z", "never", _DROP]),
+            st.booleans(),  # a list attribute, which makes the record malformed
+        ),
+        max_size=40,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_scan_judges_sensor_ids_by_the_rule(rows) -> None:
+    records = []
+    for sensor_id, timestamp, listed in rows:
+        record = {"sensor_id": sensor_id, "timestamp": timestamp, "pm25": 1.0}
+        if listed:
+            record["pm25"] = [1.0]
+        records.append({k: v for k, v in record.items() if v is not _DROP})
+    data = ndjson_bytes(records) if records else b""
+    scan = iotdq.pipeline._scan(data, SCHEMA.prepared(), AssessmentConfig())
+    want = _key_columns_by_the_rule(data)
+    got = scan.sensors, list(scan.sensor_col), list(scan.ts_col), list(scan.malformed)
+    assert got == want
+    assert scan.total == len(want[1])
+
+
+def test_scan_judges_sensor_ids_by_the_rule_on_named_cases() -> None:
+    # An int id and its str share a sensor; an id first seen in a record
+    # that fails a later check is not registered by it.
+    records = [
+        {"sensor_id": 5, "timestamp": 60},
+        {"sensor_id": "5", "timestamp": 120},
+        {"sensor_id": "b", "timestamp": 60, "pm25": [1.0]},
+        {"sensor_id": " ", "timestamp": 60},
+        {"sensor_id": "", "timestamp": 60},
+        {"sensor_id": True, "timestamp": 60},
+        {"sensor_id": None, "timestamp": 60},
+        {"sensor_id": ["5"], "timestamp": 60},
+        {"sensor_id": {"5": 5}, "timestamp": 60},
+        {"sensor_id": "\u4f20\u611f", "timestamp": 60},
+        {"sensor_id": "b", "timestamp": 60},
+    ]
+    data = ndjson_bytes(records)
+    scan = iotdq.pipeline._scan(data, SCHEMA.prepared(), AssessmentConfig())
+    assert scan.sensors == ["5", "\u4f20\u611f", "b"]
+    assert list(scan.sensor_col) == [0, 0, 1, 2]
+    assert list(scan.ts_col) == [60_000, 120_000, 60_000, 60_000]
+    assert list(scan.malformed) == [2, 3, 4, 5, 6, 7, 8]
 
 
 # Lines the scan counts as malformed: blank lines are no items at all.

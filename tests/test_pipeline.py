@@ -272,6 +272,11 @@ _BOUNDARY_LINES = [
 ]
 
 
+class _DiesWhenPickled:
+    def __reduce__(self):
+        os._exit(3)
+
+
 @pytest.fixture
 def cut_into(monkeypatch):
     """Cut NDJSON of any size into one block per core for the given count,
@@ -467,6 +472,25 @@ class TestForkedScan:
         cut_into(2)
         with pytest.raises(RuntimeError, match="exit 3"):
             assess(_defect_dataset(0), EDGE_SCHEMA, AssessmentConfig())
+
+    def test_worker_dying_mid_result(self, cut_into, monkeypatch) -> None:
+        parent = os.getpid()
+        scan = iotdq.pipeline._scan
+
+        def dying_mid_result(*args):
+            if os.getpid() != parent:
+                # Past the pipe's buffer, then the worker dies while pickling.
+                return (b"\0" * (1 << 20), _DiesWhenPickled())
+            return scan(*args)
+
+        monkeypatch.setattr(iotdq.pipeline, "_scan", dying_mid_result)
+        cut_into(2)
+        with pytest.raises(RuntimeError, match="exit 3") as raised:
+            assess(_defect_dataset(0), EDGE_SCHEMA, AssessmentConfig())
+        # The worker wrote 1 MiB, and the stream ended where it died.
+        assert isinstance(raised.value.__cause__, EOFError)
+        with pytest.raises(ChildProcessError):  # reaped: no zombie is left
+            os.waitpid(-1, os.WNOHANG)
 
     def test_failed_fork_stops_the_started_workers(self, cut_into, monkeypatch) -> None:
         fork = os.fork

@@ -262,17 +262,30 @@ def test_a_change_costs_the_same_line_at_any_history(tmp_path, monkeypatch) -> N
         store.journal.close()
 
 
-def test_proxy_prints_no_token(tmp_path: Path) -> None:
-    store = tmp_path / "store"
+def _printed_by_a_start(store: Path) -> str:
+    """What an `iotdq proxy` process on store prints after the line with its
+    URL, until it is killed."""
     child, _url = _start_proxy(store)
-    tokens = _tokens(store)
     child.send_signal(signal.SIGKILL)
     child.wait(timeout=10)
     with child.stdout:
-        printed = child.stdout.read()
-    assert f"credentials written to {store / 'credentials.json'}" in printed
+        return child.stdout.read()
+
+
+def test_proxy_prints_no_token(tmp_path: Path) -> None:
+    store = tmp_path / "store"
+    credentials = store / "credentials.json"
+    first = _printed_by_a_start(store)
+    tokens = _tokens(store)
+    saved = credentials.read_bytes()
+    assert f"credentials written to {credentials}" in first
+    # A second start reuses the saved tokens and writes nothing.
+    second = _printed_by_a_start(store)
+    assert f"credentials reused from {credentials}" in second
+    assert "credentials written to" not in second
+    assert credentials.read_bytes() == saved
     for token in tokens.values():
-        assert token not in printed
+        assert token not in first and token not in second
 
 
 def _claim_status(server: ProxyServer, token: str) -> int:
