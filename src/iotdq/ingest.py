@@ -17,7 +17,8 @@ file (a FIFO, /dev/stdin from a pipe) is read whole into memory.
 records_at reads chosen records again: it walks the same items as
 iter_records (each format's item walk is shared: _ndjson_blocks and
 _nonblank, _csv_items, the JSON array's elements) and decodes only the
-items at the ordinals asked for, NDJSON lines with _ndjson_line.
+items at the ordinals asked for, NDJSON lines with _ndjson_record: the
+reader's own rule, applied to one line alone.
 
 Timestamps are normalized to integer epoch milliseconds. Numeric values
 below 1e11 are read as epoch seconds (fractions allowed), larger ones as
@@ -201,6 +202,36 @@ def _ndjson_line(line: bytes) -> "dict | None":
     return record if isinstance(record, dict) else None
 
 
+def _scanned_line(line: bytes) -> "dict | None":
+    """The record of a non-blank line that orjson is not trusted with: the
+    standard library's scanner reads it decoded from UTF-8, and a line the
+    scanner does not turn whole into a dict goes to _ndjson_line."""
+    try:
+        text = line.decode("utf-8", "surrogatepass")
+        record, end = _scan_once(text, 0)
+        if end == len(text) and type(record) is dict:
+            return record
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return _ndjson_line(line)
+
+
+def _ndjson_record(line: bytes) -> "dict | None":
+    """The record of one non-blank NDJSON line, or None, decoded by the
+    rule of _iter_ndjson with the line judged alone: orjson reads it if it
+    is shorter than _TRUSTED_LINE_BYTES and its _NUMBER_MASK holds no
+    _DIGIT_RUN, and _scanned_line otherwise."""
+    if len(line) >= _TRUSTED_LINE_BYTES or _DIGIT_RUN in line.translate(_NUMBER_MASK):
+        return _scanned_line(line)
+    import orjson  # loaded by the first NDJSON read; see _iter_ndjson
+
+    try:
+        record = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        record = None
+    return record if type(record) is dict else _ndjson_line(line)
+
+
 def _lines_holding_digit_run(masked: bytes, count: int, at: int) -> Iterator[bool]:
     """Whether each of the count lines of masked, split as bytes.splitlines()
     splits them, holds _DIGIT_RUN, whose first match is at offset at.
@@ -258,7 +289,8 @@ def _iter_ndjson(
     once. A block is masked whole, and the lines holding its matches of
     _DIGIT_RUN are found in that mask, so no line is masked twice; a block
     whose lines average _TRUSTED_LINE_BYTES or more, which skip orjson
-    anyway, is not masked whole, only its shorter lines one by one.
+    anyway, is not masked whole: each of its lines goes to _ndjson_record,
+    which masks only the shorter ones.
     """
     # Imported here: a fresh process takes about 10 ms to load orjson (with
     # uuid, zoneinfo and sysconfig), which only NDJSON reading needs.
@@ -266,43 +298,34 @@ def _iter_ndjson(
 
     loads = orjson.loads
     decode_error = orjson.JSONDecodeError
-    scan = _scan_once
     if not isinstance(source, _Source):
         source = _in_memory(source)
     for start, stop in _ndjson_blocks(source, block_bytes):
         block = source.read(start, stop)
         lines = block.splitlines()
-        guarded: "Iterator[bool] | None" = None  # per line: skips orjson
-        if len(lines) * _TRUSTED_LINE_BYTES > len(block):
+        if len(lines) * _TRUSTED_LINE_BYTES <= len(block):
+            # Lines that average _TRUSTED_LINE_BYTES or more skip orjson
+            # anyway, so the block is not masked: each line is judged alone.
+            yield from map(_ndjson_record, filter(_nonblank, lines))
+        else:
             masked = block.translate(_NUMBER_MASK)
             at = masked.find(_DIGIT_RUN)
+            guarded = None  # per line: whether it skips orjson
             if at >= 0:
                 guarded = _lines_holding_digit_run(masked, len(lines), at)
             del masked
-        else:
-            guarded = (
-                len(line) < _TRUSTED_LINE_BYTES
-                and _DIGIT_RUN in line.translate(_NUMBER_MASK)
-                for line in lines
-            )
-        for line in lines:
-            if not (guarded and next(guarded)) and len(line) < _TRUSTED_LINE_BYTES:
-                try:
-                    record = loads(line)
-                except decode_error:
-                    record = None
-            else:
-                try:
-                    text = line.decode("utf-8", "surrogatepass")
-                    record, end = scan(text, 0)
-                    if end != len(text):
+            for line in lines:
+                if not (guarded and next(guarded)) and len(line) < _TRUSTED_LINE_BYTES:
+                    try:
+                        record = loads(line)
+                    except decode_error:
                         record = None
-                except (StopIteration, ValueError, RecursionError):
-                    record = None
-            if type(record) is dict:
-                yield record
-            elif _nonblank(line):
-                yield _ndjson_line(line)
+                    if type(record) is dict:
+                        yield record
+                    elif _nonblank(line):
+                        yield _ndjson_line(line)
+                elif _nonblank(line):
+                    yield _scanned_line(line)
         del lines  # not held beside the next block's
 
 
@@ -311,9 +334,10 @@ def _csv_items(
 ) -> tuple[Iterator["list[str] | None"], Callable[[Any], "dict | None"]]:
     """The items of CSV data, and what decodes an item to its record or None.
 
-    The first row is the header. An item is each later row that is not
-    blank, or None for one csv.reader cannot read. A row longer than the
-    header is malformed; a short row lacks its absent fields.
+    The first row that is not blank is the header. An item is each later
+    row that is not blank, or None for one csv.reader cannot read. A row
+    longer than the header is malformed; a short row lacks its absent
+    fields.
     """
     try:
         text = data.decode("utf-8")
@@ -322,6 +346,8 @@ def _csv_items(
     rows = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(rows, None)
+        while header == []:  # blank lines before it, skipped as blank rows are
+            header = next(rows, None)
     except csv.Error as exc:
         raise IngestFormatError(f"CSV header is unreadable: {exc}") from exc
 
@@ -359,14 +385,14 @@ def _items(
     item to its record, or None if malformed.
 
     The items are the non-blank NDJSON lines, read a block at a time and
-    decoded by _ndjson_line; the items of _csv_items; and the JSON array's
+    decoded by _ndjson_record; the items of _csv_items; and the JSON array's
     elements, an element that is not an object being malformed. CSV and
     JSON arrays are read and parsed whole here.
     """
     if format == "ndjson":
         blocks = _ndjson_blocks(source, _BLOCK_BYTES)
         items = (filter(_nonblank, source.read(*b).splitlines()) for b in blocks)
-        return chain.from_iterable(items), _ndjson_line
+        return chain.from_iterable(items), _ndjson_record
     data = source.read(source.start, source.stop)
     if format == "csv":
         return _csv_items(data)

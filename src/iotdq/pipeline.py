@@ -10,18 +10,19 @@ inside a tight time and memory envelope. It also takes the fingerprint,
 through its meanwhile callback.
 
 The fold has two parts. _scan walks the records of one block in order:
-per-record normalisation and schema flags, per-record key columns (the
-timestamp and the sensor index) and the item ordinal of each malformed
-record. _merge joins the blocks' scans in block order and deduplicates
-sensor by sensor: one stable sort of the sensor indices, kept in the
-narrowest unsigned type that holds them, groups the rows by sensor in
-record order; each sensor's timestamps are then gathered from the scans'
-columns and sorted on their own, stably, which keeps the first
-occurrence in record order and yields the sensor's sorted timestamps.
-Beside the scans' columns (12 bytes a row), the merge holds at most 13
-bytes a row up to 256 sensors and 2**32 rows (the index and the sort
-order while the order is narrowed from 8 to 4 bytes a row; then that
-order and the kept timestamps) and one sensor's temporaries. Under the
+per-record normalisation and schema flags, per-sensor key columns (the
+rows of each sensor and their timestamps, 12 bytes a row) and the item
+ordinal of each malformed record. _merge walks the sensors in
+first-appearance order; each sensor's timestamps are gathered from the
+blocks' scans in block order, so in record order, and sorted on their
+own, stably, which keeps the first occurrence in record order and yields
+the sensor's sorted timestamps. Its rows are gathered only when a
+timestamp repeats, and its columns are dropped from the scans once it is
+merged. So the merge needs no order over all rows: beside the scans'
+columns, which shrink as it goes, it holds the kept timestamps (8 bytes
+a kept row) and one sensor's temporaries. (A row is numbered within its
+block as a uint32, so a block holds fewer than 2**32 rows.) _score then
+takes each sensor's IATs when it reaches that sensor. Under the
 full_packet duplicate key, equal packets can only lie in a run of equal
 (sensor, timestamp), so only the rows of such runs are digested with
 packet_key_fields, all at once, and each run is then sorted by digest.
@@ -61,7 +62,7 @@ import signal
 from array import array
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, NoReturn
+from typing import Any, BinaryIO, Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -142,24 +143,28 @@ def _hits(detail: tuple[tuple[str, str], ...]) -> tuple:
     return (*{(metric, None) for metric, _ in pairs}, *pairs)
 
 
-def _sensor_iat_arrays(buffers: list[np.ndarray]) -> list[np.ndarray]:
-    """IATs in seconds between each sensor's sorted int64 timestamps (ms)."""
+def _iats(ts: np.ndarray) -> np.ndarray:
+    """IATs in seconds between a sensor's sorted int64 timestamps (ms)."""
     # The gap between sorted int64 values always fits in uint64, even
     # where int64 subtraction would wrap.
-    return [
-        (ts[1:].view(np.uint64) - ts[:-1].view(np.uint64)) / 1000.0 for ts in buffers
-    ]
+    return (ts[1:].view(np.uint64) - ts[:-1].view(np.uint64)) / 1000.0
 
 
 class _Scan(NamedTuple):
-    """What a scan of one block leaves: counts and per-record key columns."""
+    """What a scan of one block leaves: counts and per-sensor key columns.
+
+    A row is a valid record, numbered from 0 in record order within the
+    block. The columns are arrays in the process that scanned, and
+    memoryviews of the same type over a bytearray when a worker sent them
+    (see _ColumnPickler); _merge reads them with np.frombuffer.
+    """
 
     total: int  # valid records
-    malformed: array  # ("q") ascending, the item ordinal of each malformed record
+    malformed: "array | memoryview"  # ("q") ascending, each malformed record's ordinal
     violations: Counter  # (metric, None) per record, (metric, attribute)
     sensors: list[str]  # sensor ids in first-appearance order within the block
-    sensor_col: array  # ("i") per valid record, its index into sensors
-    ts_col: array  # ("q") per valid record, its timestamp (ms)
+    rows: list  # per sensor, ("I") its rows, ascending
+    stamps: list  # per sensor, ("q") the timestamps (ms) of its rows
 
 
 class _Tally(NamedTuple):
@@ -185,8 +190,8 @@ def _scan(
     malformed = array("q")
     violations: Counter = Counter()
     sensor_index: dict[str, int] = {}
-    sensor_col = array("i")
-    ts_col = array("q")
+    rows: list[array] = []
+    stamps: list[array] = []
 
     # A record's type-level violations depend only on its keys and value
     # types, so they are judged once per such signature, together with the
@@ -236,15 +241,19 @@ def _scan(
             faults = _value_faults(values, plan)
             if faults:
                 hits = _hits((*detail, *faults))
-        total += 1
         for hit in hits:
             violations[hit] += 1
 
         if sidx is None:
-            sidx = sensor_index.setdefault(sensor_id, len(sensor_index))
-        sensor_col.append(sidx)
-        ts_col.append(timestamp_ms)
-    return _Scan(total, malformed, violations, list(sensor_index), sensor_col, ts_col)
+            sidx = sensor_index.get(sensor_id)
+            if sidx is None:
+                sidx = sensor_index[sensor_id] = len(rows)
+                rows.append(array("I"))
+                stamps.append(array("q"))
+        rows[sidx].append(total)
+        stamps[sidx].append(timestamp_ms)
+        total += 1
+    return _Scan(total, malformed, violations, list(sensor_index), rows, stamps)
 
 
 def _cuts(source: _Source, fmt: str) -> list[tuple[int, int]]:
@@ -272,10 +281,26 @@ def _cuts(source: _Source, fmt: str) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+class _ColumnPickler(pickle.Pickler):
+    """Pickles each array as a protocol-5 PickleBuffer, which unpickles
+    straight into one bytearray (an array's pickle is unpickled into bytes
+    and then copied), and _column views that bytearray as the array did."""
+
+    def reducer_override(self, obj: Any) -> Any:
+        if type(obj) is array:
+            return _column, (obj.typecode, pickle.PickleBuffer(obj))
+        return NotImplemented
+
+
+def _column(typecode: str, buffer: bytearray) -> memoryview:
+    return memoryview(buffer).cast(typecode)
+
+
 def _in_worker(write_fd: int, work: Callable[[], Any]) -> NoReturn:
     """Run work in a forked worker, pickle (True, result) or (False, the
-    exception) to write_fd and exit, with status 0 once that is written.
-    Never returns, so that no frame of the parent goes on in the worker."""
+    exception) to write_fd with _ColumnPickler and exit, with status 0 once
+    that is written. Never returns, so that no frame of the parent goes on
+    in the worker."""
     status = 1
     try:
         try:
@@ -283,7 +308,7 @@ def _in_worker(write_fd: int, work: Callable[[], Any]) -> NoReturn:
         except Exception as exc:  # the parent raises it
             outcome = (False, exc)
         with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(outcome, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            _ColumnPickler(pipe, protocol=5).dump(outcome)
         status = 0
     finally:
         os._exit(status)
@@ -301,9 +326,10 @@ def _scan_blocks(
 
     This process scans the first block; every other block is scanned in a
     forked worker, which reads its own range of source and pickles its
-    scan back over a pipe; meanwhile runs in a thread while this process
-    scans. Workers are reaped before this returns or raises, and a
-    worker's exception, or meanwhile's, is raised here.
+    scan back over a pipe, each column as one buffer (see _ColumnPickler);
+    meanwhile runs in a thread while this process scans. Workers are
+    reaped before this returns or raises, and a worker's exception, or
+    meanwhile's, is raised here.
     """
     pipes: list[BinaryIO] = []
     workers: list[int] = []  # pids not yet reaped, in block order
@@ -360,23 +386,23 @@ def _merge(
     scans: list[_Scan], blocks: list[_Source], config: AssessmentConfig
 ) -> _Tally:
     """Join block scans in block order and deduplicate; blocks[i] is the
-    source that scans[i] scanned.
+    source that scans[i] scanned. Each sensor's columns are dropped from
+    its scans once the sensor is merged.
 
-    Rows are the valid records of all scans, in record order. One stable
-    argsort of the sensor column (uint8 up to 256 sensors, a radix sort)
-    groups them by sensor, in record order within a sensor; each sensor's
-    segment then gathers its timestamps from the scans' columns and sorts
-    them on its own, stably, so the first of each run of equal keys is the
-    first in record order. Beside the scans' own columns, what lives the
-    whole merge is the sort order, narrowed from the argsort's intp to the
-    narrowest unsigned type that holds the row count (4 bytes a row below
-    2**32 rows), and the kept timestamps (8 bytes a kept row); the sensor
-    column (1 byte a row up to 256 sensors, 2 up to 65,536) lives only
-    until the order is narrowed, and the rest is one sensor's segment at a
-    time.
-    Under full_packet the segments are walked twice: once to find the
-    rows of tied runs, which are digested together, and once to keep the
-    first of each run of equal digests.
+    Rows are the valid records of all scans, numbered in record order.
+    The sensors are walked in first-appearance order. A sensor's
+    timestamps are gathered from its scans in block order, so in record
+    order, and sorted on their own, stably, so the first of each run of
+    equal keys is the first in record order; timestamps that already
+    ascend are left in place, and if none repeats, the sensor keeps its
+    scan's buffer as it is. Rows are read only where a timestamp repeats.
+    So beside the scans' columns (12 bytes a row, freed sensor by
+    sensor), the merge holds the kept timestamps (8 bytes a kept row), the
+    earliest EVIDENCE_CAP duplicates and one sensor's temporaries.
+    Under full_packet, a sensor with repeated timestamps holds its sorted
+    timestamps and the rows of its tied runs until the tied rows of all
+    sensors are digested, all at once; then each run of equal timestamps
+    keeps the first of each run of equal digests.
 
     Raises DatasetRejectedError when more than half of the records are
     malformed.
@@ -392,91 +418,112 @@ def _merge(
         logger.info("ingestion skipped %d malformed records", error_count)
 
     violations: Counter = Counter()
-    sensor_index: dict[str, int] = {}
+    # Per sensor in first-appearance order: (scan, the sensor's index there,
+    # the scan's first row), in block order.
+    parts: dict[str, list[tuple[_Scan, int, int]]] = {}
+    offset = 0
     for scan in scans:
         violations.update(scan.violations)
-        for sensor_id in scan.sensors:
-            sensor_index.setdefault(sensor_id, len(sensor_index))
-    sensor_ids = list(sensor_index)
-    sensors = np.empty(total, np.min_scalar_type(max(len(sensor_ids) - 1, 0)))
-    offsets = np.cumsum([0] + [scan.total for scan in scans])
-    for scan, start, stop in zip(scans, offsets, offsets[1:]):
-        remap = np.array([sensor_index[s] for s in scan.sensors], sensors.dtype)
-        np.take(remap, np.frombuffer(scan.sensor_col, np.intc), out=sensors[start:stop])
-    # 4 bytes a row below 2**32 rows, not intp's 8.
-    order = np.argsort(sensors, kind="stable")
-    order = order.astype(np.min_scalar_type(total), copy=False)
-    ends = np.cumsum(np.bincount(sensors, minlength=len(sensor_ids))).tolist()
-    del sensors
-    ts_cols = [np.frombuffer(scan.ts_col, np.int64) for scan in scans]
-
-    tied_rows = digests = None
-    if config.duplicate_key == "full_packet":
-        # The digest covers the sensor id and the timestamp, so equal digests
-        # lie in one run of equal (sensor, timestamp): only the rows of such
-        # runs are digested, all at once, and the segments are walked again.
-        tied = [
-            rows[_tied(repeat)]
-            for rows, _, repeat in _segments(order, ends, offsets, ts_cols)
-            if repeat.any()
-        ]
-        if tied:
-            tied_rows = np.sort(np.concatenate(tied))
-            digests = _digests(tied_rows, scans, blocks, config)
+        for k, sensor_id in enumerate(scan.sensors):
+            parts.setdefault(sensor_id, []).append((scan, k, offset))
+        offset += scan.total
+    sensor_ids = list(parts)
 
     ts_buffers: list[np.ndarray] = []
-    dups: list[int] = []
+    dups = [0] * len(sensor_ids)
     examples: list[tuple[int, int, int]] = []  # (row, sensor index, timestamp)
-    for sidx, (rows, ts, repeat) in enumerate(_segments(order, ends, offsets, ts_cols)):
-        if digests is not None and repeat.any():
+
+    def keep(sidx: int, ts: np.ndarray, dup: np.ndarray, dup_rows: np.ndarray) -> None:
+        """Keep sensor sidx's sorted ts where dup is False; dup_rows are the
+        rows where it is True."""
+        ts_buffers[sidx] = ts[~dup]
+        dups[sidx] = dup_rows.size
+        if dup_rows.size:
+            earliest = np.argsort(dup_rows)[:EVIDENCE_CAP]
+            examples.extend(
+                zip(
+                    dup_rows[earliest].tolist(),
+                    [sidx] * earliest.size,
+                    ts[dup][earliest].tolist(),
+                )
+            )
+            examples.sort()
+            del examples[EVIDENCE_CAP:]
+
+    # full_packet: (sensor index, sorted timestamps, tied positions, their rows)
+    pending: list = []
+    for sidx, where in enumerate(parts.values()):
+        ts = [np.frombuffer(scan.stamps[k], np.int64) for scan, k, _ in where]
+        ts = ts[0] if len(ts) == 1 else np.concatenate(ts)
+        # Timestamps that already ascend, as a sensor's mostly do, keep
+        # their place: a stable sort leaves them as they are.
+        by_ts = None
+        if (ts[1:] < ts[:-1]).any():
+            by_ts = np.argsort(ts, kind="stable")
+            ts = ts[by_ts]
+        repeat = ts[1:] == ts[:-1]
+        ts_buffers.append(ts)  # keep() replaces it where a timestamp repeats
+        if repeat.any():
+            if config.duplicate_key == "full_packet":
+                tied = _tied(repeat)
+                pending.append((sidx, ts, tied, _rows_at(where, tied, by_ts)))
+            else:
+                dup = np.concatenate(([False], repeat))
+                keep(sidx, ts, dup, _rows_at(where, np.flatnonzero(dup), by_ts))
+        for scan, k, _ in where:
+            scan.rows[k] = scan.stamps[k] = None
+
+    if pending:
+        # The digest covers the sensor id and the timestamp, so equal digests
+        # lie in one run of equal (sensor, timestamp): only the rows of such
+        # runs are digested, all at once.
+        digests = _digests(
+            np.concatenate([rows for _, _, _, rows in pending]),
+            [sensor_ids[sidx] for sidx, _, tied, _ in pending for _ in tied],
+            np.concatenate([ts[tied] for _, ts, tied, _ in pending]).tolist(),
+            scans,
+            blocks,
+            config,
+        )
+        start = 0
+        for i, (sidx, ts, tied, rows) in enumerate(pending):
+            pending[i] = None  # so the full timestamps go once kept
+            held = digests[start : start + tied.size]
+            start += tied.size
             # Each run of equal timestamps is sorted by digest, stably, so
             # equal packets stay in record order.
-            tied = _tied(repeat)
+            repeat = ts[1:] == ts[:-1]
             run = np.cumsum(np.concatenate(([True], ~repeat)))[tied]
-            held = digests[np.searchsorted(tied_rows, rows[tied])]
             sort = np.lexsort((held[:, 1], held[:, 0], run))
-            rows[tied] = rows[tied][sort]
             held = held[sort]
             pairs = np.flatnonzero(repeat)
             at = np.searchsorted(tied, pairs)  # pairs + 1 is at tied[at + 1]
             repeat[pairs] = (held[at] == held[at + 1]).all(1)
-        first = np.concatenate(([True], ~repeat))
-        ts_buffers.append(ts[first])
-        dup_rows = rows[~first]
-        dups.append(dup_rows.size)
-        if dup_rows.size:
-            earliest = np.argsort(dup_rows)[:EVIDENCE_CAP]
-            examples += zip(
-                dup_rows[earliest].tolist(),
-                [sidx] * earliest.size,
-                ts[~first][earliest].tolist(),
-            )
-            examples.sort()
-            del examples[EVIDENCE_CAP:]
+            dup = np.concatenate(([False], repeat))
+            # Only a tied row can repeat the row before.
+            keep(sidx, ts, dup, rows[sort][dup[tied]])
+
     dup_examples = [[sensor_ids[sidx], t] for _, sidx, t in examples]
+    sensor_index = dict(zip(sensor_ids, range(len(sensor_ids))))
     return _Tally(total, violations, dup_examples, sensor_index, ts_buffers, dups)
 
 
-def _segments(
-    order: np.ndarray, ends: list[int], offsets: np.ndarray, ts_cols: list[np.ndarray]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per sensor, its rows and their timestamps sorted stably by timestamp,
-    and where each row repeats the timestamp of the row before.
-
-    order[ends[k - 1]:ends[k]] are sensor k's rows in record order; the
-    timestamps of rows offsets[i] to offsets[i + 1] are ts_cols[i].
-    """
+def _rows_at(
+    where: list[tuple[_Scan, int, int]], at: np.ndarray, by_ts: "np.ndarray | None"
+) -> np.ndarray:
+    """The rows at positions at of a sensor's timestamps as the merge
+    sorted them with by_ts (None: as gathered, in block order); where are
+    the sensor's (scan, its index there, the scan's first row)."""
+    if by_ts is not None:
+        at = by_ts[at]
+    rows = np.empty(at.size, np.int64)
     start = 0
-    for end in ends:
-        rows = order[start:end]
-        start = end
-        ts = np.empty(rows.size, np.int64)
-        cut = np.searchsorted(rows, offsets)  # rows ascend within a sensor
-        for col, offset, a, b in zip(ts_cols, offsets, cut, cut[1:]):
-            ts[a:b] = col[rows[a:b] - offset]
-        by_ts = np.argsort(ts, kind="stable")
-        ts = ts[by_ts]
-        yield rows[by_ts], ts, ts[1:] == ts[:-1]
+    for scan, k, first in where:
+        part = np.frombuffer(scan.rows[k], np.uint32)
+        mine = (at >= start) & (at < start + part.size)
+        rows[mine] = part[at[mine] - start].astype(np.int64) + first
+        start += part.size
+    return rows
 
 
 def _tied(repeat: np.ndarray) -> np.ndarray:
@@ -489,17 +536,20 @@ def _tied(repeat: np.ndarray) -> np.ndarray:
 
 def _digests(
     rows: np.ndarray,
+    sensor_ids: list[str],
+    timestamps: list[int],
     scans: list[_Scan],
     blocks: list[_Source],
     config: AssessmentConfig,
 ) -> np.ndarray:
-    """packet_key_fields of each of rows (indices into the scans' joined
-    columns), as uint64 pairs; blocks[i] is the source that scans[i] scanned.
+    """packet_key_fields of each of rows (numbered in record order across
+    the scans), whose sensor ids and timestamps are given, as uint64 pairs;
+    blocks[i] is the source that scans[i] scanned.
 
     Each row's record is read again, alone, from its block: its item
     ordinal there is its row index within the scan plus the number of the
-    scan's malformed records before it. The sensor id and timestamp are
-    the scan's, the attributes those of the decoded record.
+    scan's malformed records before it. The attributes are those of the
+    decoded record.
     """
     ts_field, sid_field = config.timestamp_field, config.sensor_id_field
     digests = [b""] * rows.size
@@ -516,13 +566,12 @@ def _digests(
         skipped = np.searchsorted(malformed - np.arange(malformed.size), local, "right")
         ordinals = (local + skipped).tolist()
         records = records_at(block, config.dataset_format, ordinals)
-        for at, row, record in zip(mine.tolist(), local.tolist(), records):
+        for at, record in zip(mine.tolist(), records):
             try:
                 attrs = _attributes(record, ts_field, sid_field)[0]
             except (AttributeError, ValueError):  # not the record the scan read
                 raise IngestFormatError(_FILE_CHANGED) from None
-            sensor_id = scan.sensors[scan.sensor_col[row]]
-            digests[at] = packet_key_fields(sensor_id, scan.ts_col[row], attrs)
+            digests[at] = packet_key_fields(sensor_ids[at], timestamps[at], attrs)
     return np.frombuffer(b"".join(digests), np.uint64).reshape(-1, 2)
 
 
@@ -577,7 +626,7 @@ def sensor_iats(
     config = dataclasses.replace(config, format_checks="types_only")
     with _open_dataset(data_path) as source:
         tally, _ = _fold(source, _NO_SCHEMA, config)
-    return list(zip(tally.sensor_index, _sensor_iat_arrays(tally.ts_buffers)))
+    return [(sid, _iats(ts)) for sid, ts in zip(tally.sensor_index, tally.ts_buffers)]
 
 
 def assess(data: bytes, schema: SchemaDocument, config: AssessmentConfig) -> QualityReport:
@@ -623,14 +672,10 @@ def _score(tally: _Tally, fingerprint: str, config: AssessmentConfig) -> Quality
     total = tally.total
     if total == 0:
         raise DatasetRejectedError("dataset contains no valid records")
-    iats = _sensor_iat_arrays(tally.ts_buffers)
-
+    # Each sensor's IATs are taken when the loop below reaches it; the
+    # dataset scope pools them all first.
     if config.mode_scope == "dataset":
-        pooled = (
-            np.concatenate([x for x in iats if x.size])
-            if any(x.size for x in iats)
-            else np.empty(0, dtype=np.float64)
-        )
+        pooled = np.concatenate([_iats(ts) for ts in tally.ts_buffers])
         shared_model = None
         if pooled.size:
             try:
@@ -650,9 +695,10 @@ def _score(tally: _Tally, fingerprint: str, config: AssessmentConfig) -> Quality
     degenerate_sensors: list[str] = []
     per_sensor: dict[str, dict[str, Any]] = {}
 
-    for sensor_id, sensor_iats, unique, dups in zip(
-        tally.sensor_index, iats, tally.ts_buffers, tally.dups
+    for sensor_id, unique, dups in zip(
+        tally.sensor_index, tally.ts_buffers, tally.dups
     ):
+        sensor_iats = _iats(unique)
         entry: dict[str, Any] = {
             "packet_count": len(unique) + dups,
             "unique_count": len(unique),

@@ -22,6 +22,21 @@ def ndjson_bytes(records: Iterable[Mapping[str, Any]]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def record_order_columns(scan) -> tuple[list[int], list[int]]:
+    """A pipeline._Scan's per-sensor columns flattened back into record
+    order: each row's sensor index (into scan.sensors) and its timestamp."""
+    sensor_col = [-1] * scan.total
+    ts_col = [0] * scan.total
+    for sidx, (rows, stamps) in enumerate(zip(scan.rows, scan.stamps)):
+        assert len(rows) == len(stamps) and list(rows) == sorted(rows)
+        for row, timestamp in zip(rows, stamps):
+            assert sensor_col[row] == -1, f"row {row} is in two sensors"
+            sensor_col[row] = sidx
+            ts_col[row] = timestamp
+    assert -1 not in sensor_col, "a row is in no sensor"
+    return sensor_col, ts_col
+
+
 def iats_of(data: bytes, config: AssessmentConfig) -> list[tuple[str, np.ndarray]]:
     """sensor_iats of a dataset's bytes, written to a temporary file first."""
     with tempfile.TemporaryDirectory() as tmp:

@@ -23,7 +23,8 @@ _MISSING = object()
 
 def _oracle(source: bytes):
     """The csv.DictReader reader: a short row's absent fields are dropped
-    through a restval sentinel, a long row is caught by its restkey."""
+    through a restval sentinel, a long row is caught by its restkey, and
+    the header is the first row that is not blank."""
     try:
         text = source.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -32,10 +33,15 @@ def _oracle(source: bytes):
         io.StringIO(text, newline=""), restkey=None, restval=_MISSING
     )
     try:
-        if reader.fieldnames is None:
-            return
+        # Blank lines before the header are skipped, as blank rows are.
+        header = next(reader.reader, None)
+        while header == []:
+            header = next(reader.reader, None)
     except csv.Error as exc:
         raise IngestFormatError(f"CSV header is unreadable: {exc}") from exc
+    if header is None:
+        return
+    reader.fieldnames = header
     while True:
         try:
             row = next(reader)
@@ -79,7 +85,7 @@ NAMED = {
     "empty": b"",
     "header_only": b"a,b\r\n",
     "blank_lines_everywhere": b"\n\r\n\ra,b\n\n1,2\r\n\r\n\r3,4\n\n",
-    "blank_first_line_is_an_empty_header": b"\na,b\n1,2\n\n",
+    "blank_lines_before_the_header": b"\n\r\n\ra,b\n1,2\n\n",
     "short_rows": b"a,b,c\n1\n1,2\n,\n",
     "long_rows": b"a,b\n1,2,3\n1,2,\n4,5\n",
     "repeated_header_short_row": b"a,b,a\n1,2\n1,2,3\n1\n",
@@ -114,6 +120,11 @@ def test_repeated_header_short_row_drops_the_repeated_name() -> None:
 
 def test_blank_rows_are_skipped() -> None:
     assert list(iter_records(b"a\n1\n\n\r\n2\n", "csv")) == [{"a": 1}, {"a": 2}]
+
+
+def test_blank_lines_before_the_header_are_skipped() -> None:
+    assert list(iter_records(b"\na,b\n1,2\n\n", "csv")) == [{"a": 1, "b": 2}]
+    assert list(iter_records(b"\r\n\r\n", "csv")) == []
 
 
 _CELLS = [

@@ -1,9 +1,11 @@
 """The merge of block scans: the per-sensor merge against a lexsort oracle.
 
 _lexsort_merge below is the merge as it was written first: the scans'
-columns concatenated whole and deduplicated with one np.lexsort by
-(sensor, timestamp). iotdq.pipeline._merge must leave the same _Tally,
-field for field, while it holds no full-length column twice.
+columns, flattened back into record order, concatenated whole and
+deduplicated with one np.lexsort by (sensor, timestamp).
+iotdq.pipeline._merge must leave the same _Tally, field for field, while
+it holds no full-length column beside the scans' own. _merge consumes
+the scans' columns, so the oracle reads them first.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import iotdq.pipeline
+from conftest import record_order_columns
 from iotdq.errors import DatasetRejectedError
 from iotdq.ingest import _in_memory
 from iotdq.metrics_iat import EVIDENCE_CAP
@@ -46,16 +49,19 @@ def _lexsort_merge(
         )
     violations: Counter = Counter()
     sensor_index: dict[str, int] = {}
-    sensor_parts = []
+    sensor_parts, ts_parts = [np.empty(0, np.intp)], [np.empty(0, np.int64)]
     for scan in scans:
         violations.update(scan.violations)
         remap = np.array(
             [sensor_index.setdefault(s, len(sensor_index)) for s in scan.sensors],
             dtype=np.intp,
         )
-        sensor_parts.append(remap[np.frombuffer(scan.sensor_col, dtype=np.intc)])
+        sensor_col, ts_col = record_order_columns(scan)
+        sensor_parts.append(remap[np.array(sensor_col, dtype=np.intp)])
+        ts_parts.append(np.array(ts_col, dtype=np.int64))
     sensors = np.concatenate(sensor_parts)
-    ts = np.concatenate([np.frombuffer(scan.ts_col, dtype=np.int64) for scan in scans])
+    ts = np.concatenate(ts_parts)
+    sensor_ids = list(sensor_index)
 
     order = np.lexsort((ts, sensors))
     by_sensor = sensors[order]
@@ -67,7 +73,8 @@ def _lexsort_merge(
         )
         run = np.cumsum(np.concatenate(([True], ~repeat)))[tied]
         rows = order[tied]
-        digests = _digests(rows, scans, blocks, config)
+        row_sensors = [sensor_ids[sensors[row]] for row in rows.tolist()]
+        digests = _digests(rows, row_sensors, ts[rows].tolist(), scans, blocks, config)
         sort = np.lexsort((digests[:, 1], digests[:, 0], run))
         order[tied] = rows[sort]
         digests = digests[sort]
@@ -76,7 +83,6 @@ def _lexsort_merge(
         repeat[pairs] = (digests[at] == digests[at + 1]).all(1)
     first = np.concatenate(([True], ~repeat))[: order.size]
 
-    sensor_ids = list(sensor_index)
     ends = np.cumsum(np.bincount(by_sensor[first], minlength=len(sensor_ids)))
     ts_buffers = np.split(by_ts[first], ends[:-1]) if sensor_ids else []
     dups = np.bincount(by_sensor[~first], minlength=len(sensor_ids)).tolist()
@@ -115,16 +121,26 @@ def _scan_of(items: list, violations: Counter | None = None) -> _Scan:
     None per malformed one."""
     malformed = array("q")
     sensors: dict[str, int] = {}
-    sensor_col, ts_col = array("i"), array("q")
+    rows: list[array] = []
+    stamps: list[array] = []
+    total = 0
     for ordinal, item in enumerate(items):
         if item is None:
             malformed.append(ordinal)
             continue
         sensor_id, timestamp_ms = item
-        sensor_col.append(sensors.setdefault(sensor_id, len(sensors)))
-        ts_col.append(timestamp_ms)
-    violations = violations or Counter()
-    return _Scan(len(ts_col), malformed, violations, list(sensors), sensor_col, ts_col)
+        sidx = sensors.setdefault(sensor_id, len(sensors))
+        if sidx == len(rows):
+            rows.append(array("I"))
+            stamps.append(array("q"))
+        rows[sidx].append(total)
+        stamps[sidx].append(timestamp_ms)
+        total += 1
+    scan = _Scan(total, malformed, violations or Counter(), list(sensors), rows, stamps)
+    flat = [item for item in items if item is not None]
+    sensor_col, ts_col = record_order_columns(scan)
+    assert [(scan.sensors[s], t) for s, t in zip(sensor_col, ts_col)] == flat
+    return scan
 
 
 # Few sensors and few instants, so that keys tie often; the int64 ends sort too.
@@ -159,8 +175,10 @@ def test_zero_row_scans_and_no_sensors() -> None:
     tally = _assert_same_merge([empty, empty], [None, None], _ID_TIMESTAMP)
     assert (tally.total, tally.sensor_index, tally.ts_buffers) == (0, {}, [])
     assert (tally.dups, tally.dup_examples) == ([], [])
-    rows = _scan_of([("a", 1), ("a", 1), ("b", 0), None])
-    for scans in ([empty, rows], [rows, empty, only_malformed], [empty, rows, empty]):
+    # _merge consumes its scans' columns, so each merge gets new scans.
+    items = {"e": [], "r": [("a", 1), ("a", 1), ("b", 0), None], "m": [None]}
+    for layout in ("er", "rem", "ere"):
+        scans = [_scan_of(items[c]) for c in layout]
         _assert_same_merge(scans, [None] * len(scans), _ID_TIMESTAMP)
     with pytest.raises(DatasetRejectedError):
         _merge([only_malformed, empty], [None, None], _ID_TIMESTAMP)
@@ -276,26 +294,30 @@ def test_full_packet_assess_matches_lexsort_oracle(packets, junk, cores) -> None
 # -- memory -----------------------------------------------------------------
 
 
-def _synthetic_scan(rows: int, seed: int) -> _Scan:
-    """rows records of 10 sensors, one a minute each, 1% of them repeated."""
+def _synthetic_scan(rows: int, seed: int, sensor_count: int) -> _Scan:
+    """rows records of sensor_count sensors, each of which appears, one a
+    minute each, 1% of them repeated."""
     rng = np.random.default_rng(seed)
-    sensor_col = rng.integers(0, 10, rows).astype(np.intc)
+    sensor_col = rng.integers(0, sensor_count, rows)
     ts = (np.arange(rows, dtype=np.int64) // 10) * 60_000 + seed * 10**12
     repeat = rng.random(rows) < 0.01
     ts[1:][repeat[1:]] = ts[:-1][repeat[1:]]
+    by_sensor = np.argsort(sensor_col, kind="stable")
+    ends = np.cumsum(np.bincount(sensor_col, minlength=sensor_count))
+    per_sensor = sorted(np.split(by_sensor, ends[:-1]), key=lambda r: r[0])
     return _Scan(
         rows,
         array("q"),
         Counter(),
-        [f"sensor-{k}" for k in range(10)],
-        array("i", sensor_col.tobytes()),
-        array("q", ts.tobytes()),
+        [f"sensor-{sensor_col[r[0]]}" for r in per_sensor],
+        [array("I", r.astype(np.uint32).tobytes()) for r in per_sensor],
+        [array("q", ts[r].tobytes()) for r in per_sensor],
     )
 
 
 def test_merge_memory_per_row() -> None:
     rows = 500_000
-    scans = [_synthetic_scan(rows, 1), _synthetic_scan(rows, 2)]
+    scans = [_synthetic_scan(rows, 1, 1_000), _synthetic_scan(rows, 2, 1_000)]
     tracemalloc.start()
     try:
         tally = _merge(scans, [None, None], _ID_TIMESTAMP)
@@ -303,6 +325,8 @@ def test_merge_memory_per_row() -> None:
     finally:
         tracemalloc.stop()
     assert sum(buffer.size for buffer in tally.ts_buffers) + sum(tally.dups) == 2 * rows
-    # The tally's own kept timestamps are 8 bytes a row of this; the peak,
-    # 13.0 bytes a row, is while the sort order is narrowed to uint32.
-    assert peak <= 15 * 2 * rows, f"{peak / (2 * rows):.1f} bytes a row"
+    # The tally's own kept timestamps are 8 bytes a row of this; beside
+    # them the merge holds one sensor's temporaries: 9.0 bytes a row in
+    # all. A merge through a global row order, narrowed to uint32 from
+    # intp beside a uint16 sensor column, read 14.1.
+    assert peak <= 11 * 2 * rows, f"{peak / (2 * rows):.1f} bytes a row"

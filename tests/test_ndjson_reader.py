@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import iotdq
 import iotdq.ingest
 import iotdq.pipeline
-from conftest import ndjson_bytes
+from conftest import ndjson_bytes, record_order_columns
 from iotdq.errors import IngestFormatError
 from iotdq.ingest import (
     _in_file,
@@ -221,6 +221,44 @@ NAMED = {
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_named_cases_match_oracle(name: str, block_bytes: int) -> None:
     _assert_same_as_oracle(NAMED[name], block_bytes)
+
+
+# Lines of each kind the reader treats apart: plain, a 20-digit integer
+# (orjson would make it a float), long, NaN, a BOM, invalid UTF-8, blank.
+_DECODE_RULE_LINES = [
+    _OK,
+    b'{"sensor_id":"a","timestamp":60,"v":1.5,"ok":true,"none":null}',
+    b'{"n":%d}' % 2**64,
+    b'{"a":[1,\t%d ]}' % (-(2**63) - 1),
+    b'{"s":"%d"}' % 2**64,
+    _OK[:-1] + _LONG_NOTE,
+    b'{"n":%d' % 2**64 + _LONG_NOTE,
+    b'{"t":NaN,"u":-Infinity}',
+    b"\xef\xbb\xbf" + _OK,
+    b'{"s":"\xff\xfe"}',
+    b'{"s":"\xff"' + _LONG_NOTE,
+    b'{"s":"\xed\xa0\x80"}',
+    b"[1]",
+    b"{x",
+    b"",
+    b" \t",
+]
+
+
+@given(
+    lines=st.lists(st.sampled_from(_DECODE_RULE_LINES), max_size=30),
+    breaks=st.sampled_from([b"\n", b"\r\n"]),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_records_at_decodes_as_iter_records(lines, breaks, data) -> None:
+    source = breaks.join(lines)
+    items = list(iter_records(source, "ndjson"))
+    ordinals = sorted(data.draw(st.sets(st.integers(0, max(len(items) - 1, 0)))))
+    ordinals = [i for i in ordinals if i < len(items)]
+    # repr tells 1, 1.0 and True apart and compares NaN equal to itself.
+    got = list(records_at(source, "ndjson", ordinals))
+    assert repr(got) == repr([items[i] for i in ordinals])
 
 
 def test_blocks_keep_lines_whole_and_indices_running() -> None:
@@ -606,7 +644,7 @@ def test_scan_judges_sensor_ids_by_the_rule(rows) -> None:
     data = ndjson_bytes(records) if records else b""
     scan = iotdq.pipeline._scan(data, SCHEMA.prepared(), AssessmentConfig())
     want = _key_columns_by_the_rule(data)
-    got = scan.sensors, list(scan.sensor_col), list(scan.ts_col), list(scan.malformed)
+    got = scan.sensors, *record_order_columns(scan), list(scan.malformed)
     assert got == want
     assert scan.total == len(want[1])
 
@@ -630,8 +668,10 @@ def test_scan_judges_sensor_ids_by_the_rule_on_named_cases() -> None:
     data = ndjson_bytes(records)
     scan = iotdq.pipeline._scan(data, SCHEMA.prepared(), AssessmentConfig())
     assert scan.sensors == ["5", "\u4f20\u611f", "b"]
-    assert list(scan.sensor_col) == [0, 0, 1, 2]
-    assert list(scan.ts_col) == [60_000, 120_000, 60_000, 60_000]
+    sensor_col, ts_col = record_order_columns(scan)
+    assert sensor_col == [0, 0, 1, 2]
+    assert ts_col == [60_000, 120_000, 60_000, 60_000]
+    assert [list(rows) for rows in scan.rows] == [[0, 1], [2], [3]]
     assert list(scan.malformed) == [2, 3, 4, 5, 6, 7, 8]
 
 
@@ -678,7 +718,11 @@ def test_tied_row_digests_match_flattened_attributes(rows, junk, crlf, cores) ->
     tied = [row for row, key in enumerate(keys) if keys.count(key) > 1]
     # Asked for out of record order, as the merge asks by (sensor, timestamp).
     tied.sort(key=lambda row: (keys[row], -row))
-    got = iotdq.pipeline._digests(np.array(tied, dtype=np.intp), scans, blocks, config)
+    sensor_ids = [keys[row][0] for row in tied]
+    timestamps = [keys[row][1] for row in tied]
+    got = iotdq.pipeline._digests(
+        np.array(tied, dtype=np.intp), sensor_ids, timestamps, scans, blocks, config
+    )
     attributes = [
         iotdq.pipeline._attributes(record, "timestamp", "sensor_id")[0]
         for record in valid

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -291,6 +292,13 @@ def cut_into(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _typecode(column) -> str:
+    if type(column) is memoryview:
+        assert type(column.obj) is bytearray
+        return column.format
+    return column.typecode
+
+
 class TestForkedScan:
     """NDJSON scanned in blocks by forked workers scores exactly as in one
     block, and as the reference scorer does."""
@@ -322,6 +330,31 @@ class TestForkedScan:
                 # Each process reads its own blocks of the file.
                 by_path = assess_file(str(path), EDGE_SCHEMA, config)
                 assert serialize_report(by_path) == one_block
+
+    def test_worker_columns_come_back_as_bytearray_views(
+        self, cut_into, monkeypatch
+    ) -> None:
+        # Each column arrives as one bytearray, viewed with its array's type:
+        # no array is rebuilt from a bytes copy of its pickle.
+        merge = iotdq.pipeline._merge
+        seen: list = []
+
+        def looking(scans, blocks, config):
+            for scan in scans:
+                columns = [scan.malformed, *scan.rows, *scan.stamps]
+                seen.append({(type(c), _typecode(c)) for c in columns})
+            return merge(scans, blocks, config)
+
+        monkeypatch.setattr(iotdq.pipeline, "_merge", looking)
+        data = _defect_dataset(0)
+        cut_into(1)
+        one_block = serialize_report(assess(data, EDGE_SCHEMA, AssessmentConfig()))
+        cut_into(3)
+        report = assess(data, EDGE_SCHEMA, AssessmentConfig())
+        assert serialize_report(report) == one_block
+        in_this_process = {(array, "q"), (array, "I")}
+        from_a_worker = {(memoryview, "q"), (memoryview, "I")}
+        assert seen == [in_this_process, in_this_process, from_a_worker, from_a_worker]
 
     def test_cuts_fall_after_newlines(self, cut_into, tmp_path, monkeypatch) -> None:
         data = b"".join(_BOUNDARY_LINES)
