@@ -113,6 +113,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_histogram(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    iat_histogram((), args.bin_width)  # refuses a bad width before the read
     lines = ["sensor_id,bin_seconds,count"]
     for sensor_id, iats in sensor_iats(args.data, config):
         for bin_value, count in iat_histogram(iats, args.bin_width):

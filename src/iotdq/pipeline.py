@@ -3,39 +3,41 @@
 _fold reads the records and leaves what scoring needs: violation counts,
 per-sensor duplicate counts and each sensor's sorted deduplicated
 timestamps. assess() then runs the IAT metrics on the per-sensor gaps
-and assembles the report; sensor_iats() returns those gaps alone, for
-the histogram command. The fold is the only scoring code: it
-materializes no packet objects, which keeps million-record datasets
-inside a tight time and memory envelope. It also takes the fingerprint,
-through its meanwhile callback.
+and assembles the report; sensor_iats() yields those gaps alone, one
+sensor at a time, for the histogram command. The fold is the only
+scoring code: it materializes no packet objects, which keeps
+million-record datasets inside a tight time and memory envelope. It
+also takes the fingerprint, through its meanwhile callback.
 
 The fold has two parts. _scan walks the records of one block in order:
 per-record normalisation and schema flags, per-sensor key columns (the
-rows of each sensor and their timestamps, 12 bytes a row) and the item
-ordinal of each malformed record. _merge walks the sensors in
-first-appearance order; each sensor's timestamps are gathered from the
-blocks' scans in block order, so in record order, and sorted on their
-own, stably, which keeps the first occurrence in record order and yields
-the sensor's sorted timestamps. Its rows are gathered only when a
-timestamp repeats, and its columns are dropped from the scans once it is
-merged. So the merge needs no order over all rows: beside the scans'
-columns, which shrink as it goes, it holds the kept timestamps (8 bytes
-a kept row) and one sensor's temporaries. (A row is numbered within its
-block as a uint32, so a block holds fewer than 2**32 rows.) _score then
-takes each sensor's IATs when it reaches that sensor. Under the
-full_packet duplicate key, equal packets can only lie in a run of equal
-(sensor, timestamp), so only the rows of such runs are digested with
-packet_key_fields, all at once, and each run is then sorted by digest.
-Those rows are read again in this process once the scans are joined:
-records_at walks each of their blocks once more, as iter_records walked
-it, and decodes only their records. A row whose (sensor, timestamp) is
-unique costs no digest and no second decode. A large NDJSON source is
-cut at newlines into one block per usable core, and every block but the
-first is scanned in a forked worker process; any other source is one
-block. Each process reads only its own block, through ingest's one
-reader of offsets: a slice of bytes in memory, or os.pread of a file
-opened by ingest._open_dataset, so that assess_file and sensor_iats
-never hold a regular NDJSON file whole.
+rows of each sensor and their timestamps, 12 bytes a row) and the count
+of malformed records. A row is numbered by its item ordinal: its place
+among all the items of its block, malformed ones too, as records_at
+counts them. _merge walks the sensors in first-appearance order; each
+sensor's timestamps are gathered from the blocks' scans in block order,
+so in record order, and sorted on their own, stably, which keeps the
+first occurrence in record order and yields the sensor's sorted
+timestamps. Its rows are gathered only when a timestamp repeats, and its
+columns are dropped from the scans once it is merged. So the merge needs
+no order over all rows: beside the scans' columns, which shrink as it
+goes, it holds the kept timestamps (8 bytes a kept row) and one sensor's
+temporaries. (A row is a uint32, so a block holds fewer than 2**32
+items.) _score then takes each sensor's IATs when it reaches that
+sensor. Under the full_packet duplicate key, equal packets can only lie
+in a run of equal (sensor, timestamp), so only the rows of such runs are
+digested with packet_key_fields (a digest of the packet's json.dumps
+text), all at once, and each run is then sorted by digest. Those rows
+are read again in this process once the scans are joined: records_at
+walks each of their blocks once more, as iter_records walked it, and
+decodes only the records at their item ordinals. A row whose (sensor,
+timestamp) is unique costs no digest and no second decode. A large
+NDJSON source is cut at newlines into one block per usable core, and
+every block but the first is scanned in a forked worker process; any
+other source is one block. Each process reads only its own block,
+through ingest's one reader of offsets: a slice of bytes in memory, or
+os.pread of a file opened by ingest._open_dataset, so that assess_file
+and sensor_iats never hold a regular NDJSON file whole.
 
 Records arrive from ingest.iter_records, which decodes NDJSON lines with
 orjson (the C scanner or json.loads where orjson cannot be trusted).
@@ -62,7 +64,7 @@ import signal
 from array import array
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, BinaryIO, Callable, NamedTuple, NoReturn
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -153,14 +155,16 @@ def _iats(ts: np.ndarray) -> np.ndarray:
 class _Scan(NamedTuple):
     """What a scan of one block leaves: counts and per-sensor key columns.
 
-    A row is a valid record, numbered from 0 in record order within the
-    block. The columns are arrays in the process that scanned, and
-    memoryviews of the same type over a bytearray when a worker sent them
-    (see _ColumnPickler); _merge reads them with np.frombuffer.
+    A row is a valid record, numbered by its item ordinal within the
+    block: from 0, malformed records counted too, as records_at numbers
+    the block's items. The columns are arrays in the process that
+    scanned, and memoryviews of the same type over a bytearray when a
+    worker sent them (see _ColumnPickler); _merge reads them with
+    np.frombuffer.
     """
 
     total: int  # valid records
-    malformed: "array | memoryview"  # ("q") ascending, each malformed record's ordinal
+    malformed: int  # malformed records
     violations: Counter  # (metric, None) per record, (metric, attribute)
     sensors: list[str]  # sensor ids in first-appearance order within the block
     rows: list  # per sensor, ("I") its rows, ascending
@@ -173,7 +177,7 @@ class _Tally(NamedTuple):
     total: int  # valid records
     violations: Counter  # (metric, None) per record, (metric, attribute)
     dup_examples: list[list]
-    sensor_index: dict[str, int]  # sensor id -> index, first-appearance order
+    sensor_ids: list[str]  # in first-appearance order
     ts_buffers: list[np.ndarray]  # sorted deduplicated timestamps (ms) per sensor
     dups: list[int]  # duplicates per sensor
 
@@ -187,7 +191,7 @@ def _scan(
     sid_field = config.sensor_id_field
 
     total = 0
-    malformed = array("q")
+    malformed = 0
     violations: Counter = Counter()
     sensor_index: dict[str, int] = {}
     rows: list[array] = []
@@ -201,7 +205,7 @@ def _scan(
 
     for record in iter_records(source, config.dataset_format):
         if record is None:
-            malformed.append(total + len(malformed))
+            malformed += 1
             continue
         try:
             if ts_field not in record:
@@ -224,7 +228,7 @@ def _scan(
             if verdict is None:
                 attrs, nested = _attributes(record, ts_field, sid_field)
         except ValueError:
-            malformed.append(total + len(malformed))
+            malformed += 1
             continue
 
         if verdict is None:
@@ -250,7 +254,7 @@ def _scan(
                 sidx = sensor_index[sensor_id] = len(rows)
                 rows.append(array("I"))
                 stamps.append(array("q"))
-        rows[sidx].append(total)
+        rows[sidx].append(total + malformed)
         stamps[sidx].append(timestamp_ms)
         total += 1
     return _Scan(total, malformed, violations, list(sensor_index), rows, stamps)
@@ -389,13 +393,15 @@ def _merge(
     source that scans[i] scanned. Each sensor's columns are dropped from
     its scans once the sensor is merged.
 
-    Rows are the valid records of all scans, numbered in record order.
-    The sensors are walked in first-appearance order. A sensor's
-    timestamps are gathered from its scans in block order, so in record
-    order, and sorted on their own, stably, so the first of each run of
-    equal keys is the first in record order; timestamps that already
-    ascend are left in place, and if none repeats, the sensor keeps its
-    scan's buffer as it is. Rows are read only where a timestamp repeats.
+    Rows are the valid records of all scans, numbered by item ordinal
+    across the blocks: a scan's rows are offset by the items (valid and
+    malformed) of the scans before it. The sensors are walked in
+    first-appearance order. A sensor's timestamps are gathered from its
+    scans in block order, so in record order, and sorted on their own,
+    stably, so the first of each run of equal keys is the first in record
+    order; timestamps that already ascend are left in place, and if none
+    repeats, the sensor keeps its scan's buffer as it is. Rows are read
+    only where a timestamp repeats.
     So beside the scans' columns (12 bytes a row, freed sensor by
     sensor), the merge holds the kept timestamps (8 bytes a kept row), the
     earliest EVIDENCE_CAP duplicates and one sensor's temporaries.
@@ -408,7 +414,7 @@ def _merge(
     malformed.
     """
     total = sum(scan.total for scan in scans)
-    error_count = sum(len(scan.malformed) for scan in scans)
+    error_count = sum(scan.malformed for scan in scans)
     records_seen = total + error_count
     if records_seen and error_count * 2 > records_seen:
         raise DatasetRejectedError(
@@ -419,14 +425,14 @@ def _merge(
 
     violations: Counter = Counter()
     # Per sensor in first-appearance order: (scan, the sensor's index there,
-    # the scan's first row), in block order.
+    # the items of the scans before), in block order.
     parts: dict[str, list[tuple[_Scan, int, int]]] = {}
     offset = 0
     for scan in scans:
         violations.update(scan.violations)
         for k, sensor_id in enumerate(scan.sensors):
             parts.setdefault(sensor_id, []).append((scan, k, offset))
-        offset += scan.total
+        offset += scan.total + scan.malformed
     sensor_ids = list(parts)
 
     ts_buffers: list[np.ndarray] = []
@@ -504,8 +510,7 @@ def _merge(
             keep(sidx, ts, dup, rows[sort][dup[tied]])
 
     dup_examples = [[sensor_ids[sidx], t] for _, sidx, t in examples]
-    sensor_index = dict(zip(sensor_ids, range(len(sensor_ids))))
-    return _Tally(total, violations, dup_examples, sensor_index, ts_buffers, dups)
+    return _Tally(total, violations, dup_examples, sensor_ids, ts_buffers, dups)
 
 
 def _rows_at(
@@ -513,7 +518,7 @@ def _rows_at(
 ) -> np.ndarray:
     """The rows at positions at of a sensor's timestamps as the merge
     sorted them with by_ts (None: as gathered, in block order); where are
-    the sensor's (scan, its index there, the scan's first row)."""
+    the sensor's (scan, its index there, the items of the scans before)."""
     if by_ts is not None:
         at = by_ts[at]
     rows = np.empty(at.size, np.int64)
@@ -542,13 +547,12 @@ def _digests(
     blocks: list[_Source],
     config: AssessmentConfig,
 ) -> np.ndarray:
-    """packet_key_fields of each of rows (numbered in record order across
-    the scans), whose sensor ids and timestamps are given, as uint64 pairs;
-    blocks[i] is the source that scans[i] scanned.
+    """packet_key_fields of each of rows (numbered by item ordinal across
+    the scans, as _merge numbers them), whose sensor ids and timestamps are
+    given, as uint64 pairs; blocks[i] is the source that scans[i] scanned.
 
-    Each row's record is read again, alone, from its block: its item
-    ordinal there is its row index within the scan plus the number of the
-    scan's malformed records before it. The attributes are those of the
+    Each row's record is read again, alone, from its block, at the row
+    less the items of the blocks before. The attributes are those of the
     decoded record.
     """
     ts_field, sid_field = config.timestamp_field, config.sensor_id_field
@@ -556,15 +560,11 @@ def _digests(
     by_row = np.argsort(rows)
     stop = 0
     for scan, block in zip(scans, blocks):
-        start, stop = stop, stop + scan.total
+        start, stop = stop, stop + scan.total + scan.malformed
         mine = by_row[(rows[by_row] >= start) & (rows[by_row] < stop)]
         if not mine.size:
             continue
-        local = rows[mine] - start
-        # The k-th malformed record (from 0) follows its ordinal minus k valid ones.
-        malformed = np.frombuffer(scan.malformed, dtype=np.int64)
-        skipped = np.searchsorted(malformed - np.arange(malformed.size), local, "right")
-        ordinals = (local + skipped).tolist()
+        ordinals = (rows[mine] - start).tolist()
         records = records_at(block, config.dataset_format, ordinals)
         for at, record in zip(mine.tolist(), records):
             try:
@@ -615,18 +615,22 @@ def _fold(
 
 def sensor_iats(
     data_path: str, config: AssessmentConfig
-) -> list[tuple[str, np.ndarray]]:
-    """(sensor_id, IATs in seconds) per sensor, in first-appearance order.
+) -> Iterator[tuple[str, np.ndarray]]:
+    """Yield (sensor_id, IATs in seconds) per sensor, in first-appearance
+    order, one sensor at a time, as _score takes them.
 
     The IATs are those assess_file() scores on the file at data_path, read
     as it reads it: gaps between the sorted timestamps a sensor keeps after
-    deduplication under config.duplicate_key. Raises as assess_file() does.
+    deduplication under config.duplicate_key. The file is read and closed
+    before the first sensor is yielded. Raises as assess_file() does, from
+    the first next().
     """
     # No violation is read here, so no record runs a value check.
     config = dataclasses.replace(config, format_checks="types_only")
     with _open_dataset(data_path) as source:
         tally, _ = _fold(source, _NO_SCHEMA, config)
-    return [(sid, _iats(ts)) for sid, ts in zip(tally.sensor_index, tally.ts_buffers)]
+    for sensor_id, ts in zip(tally.sensor_ids, tally.ts_buffers):
+        yield sensor_id, _iats(ts)
 
 
 def assess(data: bytes, schema: SchemaDocument, config: AssessmentConfig) -> QualityReport:
@@ -695,9 +699,7 @@ def _score(tally: _Tally, fingerprint: str, config: AssessmentConfig) -> Quality
     degenerate_sensors: list[str] = []
     per_sensor: dict[str, dict[str, Any]] = {}
 
-    for sensor_id, unique, dups in zip(
-        tally.sensor_index, tally.ts_buffers, tally.dups
-    ):
+    for sensor_id, unique, dups in zip(tally.sensor_ids, tally.ts_buffers, tally.dups):
         sensor_iats = _iats(unique)
         entry: dict[str, Any] = {
             "packet_count": len(unique) + dups,

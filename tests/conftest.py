@@ -22,19 +22,27 @@ def ndjson_bytes(records: Iterable[Mapping[str, Any]]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def record_order_columns(scan) -> tuple[list[int], list[int]]:
+def record_order_columns(scan) -> tuple[list[int], list[int], list[int]]:
     """A pipeline._Scan's per-sensor columns flattened back into record
-    order: each row's sensor index (into scan.sensors) and its timestamp."""
-    sensor_col = [-1] * scan.total
-    ts_col = [0] * scan.total
+    order: each row (its item ordinal in the block), its sensor index
+    (into scan.sensors) and its timestamp."""
+    items = scan.total + scan.malformed
+    by_row: dict[int, tuple[int, int]] = {}
     for sidx, (rows, stamps) in enumerate(zip(scan.rows, scan.stamps)):
         assert len(rows) == len(stamps) and list(rows) == sorted(rows)
         for row, timestamp in zip(rows, stamps):
-            assert sensor_col[row] == -1, f"row {row} is in two sensors"
-            sensor_col[row] = sidx
-            ts_col[row] = timestamp
-    assert -1 not in sensor_col, "a row is in no sensor"
-    return sensor_col, ts_col
+            assert row not in by_row, f"row {row} is in two sensors"
+            assert 0 <= row < items, f"row {row} is past the block's {items} items"
+            by_row[row] = (sidx, timestamp)
+    assert len(by_row) == scan.total, "a valid record is in no sensor"
+    rows = sorted(by_row)
+    return rows, [by_row[row][0] for row in rows], [by_row[row][1] for row in rows]
+
+
+def malformed_ordinals(scan) -> list[int]:
+    """The item ordinals of a pipeline._Scan's block that are no row."""
+    rows = set(record_order_columns(scan)[0])
+    return [o for o in range(scan.total + scan.malformed) if o not in rows]
 
 
 def iats_of(data: bytes, config: AssessmentConfig) -> list[tuple[str, np.ndarray]]:
@@ -43,7 +51,7 @@ def iats_of(data: bytes, config: AssessmentConfig) -> list[tuple[str, np.ndarray
         path = os.path.join(tmp, "data")
         with open(path, "wb") as fh:
             fh.write(data)
-        return sensor_iats(path, config)
+        return list(sensor_iats(path, config))
 
 
 @pytest.fixture

@@ -117,7 +117,6 @@ def test_json_array_records_raise_only_iotdq_errors(data) -> None:
 _JSON_LOADS_CALLERS = {
     "errors.load_json",
     "ingest._ndjson_line",
-    "metrics_iat._json_canon",
 }
 
 

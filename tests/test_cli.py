@@ -300,6 +300,21 @@ class TestHistogram:
         assert captured.out == ""
         assert "error: bin width must be a positive finite number" in captured.err
 
+    @pytest.mark.parametrize("width", ["0", "nan"])
+    def test_unusable_bin_width_is_refused_before_the_read(
+        self, tmp_path, capsys, width
+    ) -> None:
+        # An empty file bins no IAT, and a missing one cannot be read: the
+        # width alone must refuse both.
+        empty = tmp_path / "empty.ndjson"
+        empty.write_bytes(b"")
+        for data in (empty, tmp_path / "missing.ndjson"):
+            argv = ["histogram", "--data", str(data), f"--bin-width={width}"]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: bin width must be a positive finite number" in captured.err
+
 
 class TestMisc:
     def test_code_hash_prints_hex(self, capsys) -> None:

@@ -41,7 +41,7 @@ def _lexsort_merge(
 ) -> _Tally:
     """The oracle: the scans' columns joined whole, one lexsort."""
     total = sum(scan.total for scan in scans)
-    error_count = sum(len(scan.malformed) for scan in scans)
+    error_count = sum(scan.malformed for scan in scans)
     records_seen = total + error_count
     if records_seen and error_count * 2 > records_seen:
         raise DatasetRejectedError(
@@ -49,16 +49,21 @@ def _lexsort_merge(
         )
     violations: Counter = Counter()
     sensor_index: dict[str, int] = {}
+    row_parts = [np.empty(0, np.int64)]
     sensor_parts, ts_parts = [np.empty(0, np.intp)], [np.empty(0, np.int64)]
+    offset = 0  # the items of the scans before, each numbered by its ordinal
     for scan in scans:
         violations.update(scan.violations)
         remap = np.array(
             [sensor_index.setdefault(s, len(sensor_index)) for s in scan.sensors],
             dtype=np.intp,
         )
-        sensor_col, ts_col = record_order_columns(scan)
+        row_col, sensor_col, ts_col = record_order_columns(scan)
+        row_parts.append(np.array(row_col, dtype=np.int64) + offset)
         sensor_parts.append(remap[np.array(sensor_col, dtype=np.intp)])
         ts_parts.append(np.array(ts_col, dtype=np.int64))
+        offset += scan.total + scan.malformed
+    item_rows = np.concatenate(row_parts)
     sensors = np.concatenate(sensor_parts)
     ts = np.concatenate(ts_parts)
     sensor_ids = list(sensor_index)
@@ -72,11 +77,13 @@ def _lexsort_merge(
             np.concatenate(([False], repeat)) | np.concatenate((repeat, [False]))
         )
         run = np.cumsum(np.concatenate(([True], ~repeat)))[tied]
-        rows = order[tied]
-        row_sensors = [sensor_ids[sensors[row]] for row in rows.tolist()]
-        digests = _digests(rows, row_sensors, ts[rows].tolist(), scans, blocks, config)
+        at = order[tied]
+        row_sensors = [sensor_ids[s] for s in sensors[at].tolist()]
+        digests = _digests(
+            item_rows[at], row_sensors, ts[at].tolist(), scans, blocks, config
+        )
         sort = np.lexsort((digests[:, 1], digests[:, 0], run))
-        order[tied] = rows[sort]
+        order[tied] = at[sort]
         digests = digests[sort]
         pairs = np.flatnonzero(repeat)
         at = np.searchsorted(tied, pairs)
@@ -90,7 +97,7 @@ def _lexsort_merge(
         [sensor_ids[sensors[i]], int(ts[i])]
         for i in np.sort(order[~first])[:EVIDENCE_CAP]
     ]
-    return _Tally(total, violations, dup_examples, sensor_index, ts_buffers, dups)
+    return _Tally(total, violations, dup_examples, sensor_ids, ts_buffers, dups)
 
 
 def _assert_same_merge(
@@ -106,7 +113,7 @@ def _assert_same_merge(
     got = _merge(scans, blocks, config)
     assert got.total == want.total
     assert got.violations == want.violations
-    assert list(got.sensor_index.items()) == list(want.sensor_index.items())
+    assert got.sensor_ids == want.sensor_ids
     assert got.dups == want.dups
     assert got.dup_examples == want.dup_examples
     assert len(got.ts_buffers) == len(want.ts_buffers)
@@ -119,27 +126,29 @@ def _assert_same_merge(
 def _scan_of(items: list, violations: Counter | None = None) -> _Scan:
     """A block's scan of items: (sensor id, timestamp) per valid record,
     None per malformed one."""
-    malformed = array("q")
+    malformed = 0
     sensors: dict[str, int] = {}
     rows: list[array] = []
     stamps: list[array] = []
     total = 0
     for ordinal, item in enumerate(items):
         if item is None:
-            malformed.append(ordinal)
+            malformed += 1
             continue
         sensor_id, timestamp_ms = item
         sidx = sensors.setdefault(sensor_id, len(sensors))
         if sidx == len(rows):
             rows.append(array("I"))
             stamps.append(array("q"))
-        rows[sidx].append(total)
+        rows[sidx].append(ordinal)
         stamps[sidx].append(timestamp_ms)
         total += 1
     scan = _Scan(total, malformed, violations or Counter(), list(sensors), rows, stamps)
-    flat = [item for item in items if item is not None]
-    sensor_col, ts_col = record_order_columns(scan)
-    assert [(scan.sensors[s], t) for s, t in zip(sensor_col, ts_col)] == flat
+    flat = [(ordinal, *item) for ordinal, item in enumerate(items) if item is not None]
+    row_col, sensor_col, ts_col = record_order_columns(scan)
+    assert [
+        (row, scan.sensors[s], t) for row, s, t in zip(row_col, sensor_col, ts_col)
+    ] == flat
     return scan
 
 
@@ -173,7 +182,7 @@ def test_zero_row_scans_and_no_sensors() -> None:
     empty = _scan_of([])
     only_malformed = _scan_of([None])
     tally = _assert_same_merge([empty, empty], [None, None], _ID_TIMESTAMP)
-    assert (tally.total, tally.sensor_index, tally.ts_buffers) == (0, {}, [])
+    assert (tally.total, tally.sensor_ids, tally.ts_buffers) == (0, [], [])
     assert (tally.dups, tally.dup_examples) == ([], [])
     # _merge consumes its scans' columns, so each merge gets new scans.
     items = {"e": [], "r": [("a", 1), ("a", 1), ("b", 0), None], "m": [None]}
@@ -199,7 +208,7 @@ def test_sensor_indices_past_a_narrow_dtype(sensor_count: int) -> None:
     cuts = [0, rows // 3, 2 * rows // 3, rows]
     scans = [_scan_of(items[a:b]) for a, b in zip(cuts, cuts[1:])]
     tally = _assert_same_merge(scans, [None] * 3, _ID_TIMESTAMP)
-    assert len(tally.sensor_index) == sensor_count
+    assert len(tally.sensor_ids) == sensor_count
     assert sum(tally.dups) > EVIDENCE_CAP
 
 
@@ -307,7 +316,7 @@ def _synthetic_scan(rows: int, seed: int, sensor_count: int) -> _Scan:
     per_sensor = sorted(np.split(by_sensor, ends[:-1]), key=lambda r: r[0])
     return _Scan(
         rows,
-        array("q"),
+        0,
         Counter(),
         [f"sensor-{sensor_col[r[0]]}" for r in per_sensor],
         [array("I", r.astype(np.uint32).tobytes()) for r in per_sensor],

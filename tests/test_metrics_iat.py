@@ -544,7 +544,7 @@ class TestM3Fixtures:
 
 def test_importing_the_package_leaves_orjson_unloaded() -> None:
     # A fresh process takes about 10 ms to load orjson; only reading NDJSON
-    # and the full_packet digest need it, and both import it on first use.
+    # needs it, and imports it on first use.
     script = (
         "import sys, iotdq, iotdq.workflow, iotdq.cli; "
         "print('orjson' in sys.modules)"

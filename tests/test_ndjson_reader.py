@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 import iotdq
 import iotdq.ingest
 import iotdq.pipeline
-from conftest import ndjson_bytes, record_order_columns
+from conftest import malformed_ordinals, ndjson_bytes, record_order_columns
 from iotdq.errors import IngestFormatError
 from iotdq.ingest import (
     _in_file,
@@ -644,7 +644,8 @@ def test_scan_judges_sensor_ids_by_the_rule(rows) -> None:
     data = ndjson_bytes(records) if records else b""
     scan = iotdq.pipeline._scan(data, SCHEMA.prepared(), AssessmentConfig())
     want = _key_columns_by_the_rule(data)
-    got = scan.sensors, *record_order_columns(scan), list(scan.malformed)
+    _rows, sensor_col, ts_col = record_order_columns(scan)
+    got = scan.sensors, sensor_col, ts_col, malformed_ordinals(scan)
     assert got == want
     assert scan.total == len(want[1])
 
@@ -668,11 +669,12 @@ def test_scan_judges_sensor_ids_by_the_rule_on_named_cases() -> None:
     data = ndjson_bytes(records)
     scan = iotdq.pipeline._scan(data, SCHEMA.prepared(), AssessmentConfig())
     assert scan.sensors == ["5", "\u4f20\u611f", "b"]
-    sensor_col, ts_col = record_order_columns(scan)
+    _rows, sensor_col, ts_col = record_order_columns(scan)
     assert sensor_col == [0, 0, 1, 2]
     assert ts_col == [60_000, 120_000, 60_000, 60_000]
-    assert [list(rows) for rows in scan.rows] == [[0, 1], [2], [3]]
-    assert list(scan.malformed) == [2, 3, 4, 5, 6, 7, 8]
+    assert [list(rows) for rows in scan.rows] == [[0, 1], [9], [10]]
+    assert scan.malformed == 7
+    assert malformed_ordinals(scan) == [2, 3, 4, 5, 6, 7, 8]
 
 
 # Lines the scan counts as malformed: blank lines are no items at all.
@@ -708,20 +710,29 @@ def test_tied_row_digests_match_flattened_attributes(rows, junk, crlf, cores) ->
         cuts = iotdq.pipeline._cuts(_in_memory(data), "ndjson")
     blocks = [_in_memory(data)._replace(start=start, stop=stop) for start, stop in cuts]
     scans = [iotdq.pipeline._scan(b, _PLAN_SCHEMA.prepared(), config) for b in blocks]
-    valid = [
-        record
-        for record in iter_records(data, "ndjson")
+    items = list(iter_records(data, "ndjson"))
+    # Each valid record's item ordinal, which numbers it as a row.
+    ordinals = [
+        ordinal
+        for ordinal, record in enumerate(items)
         if record and "timestamp" in record and isinstance(record["sensor_id"], str)
     ]
+    valid = [items[ordinal] for ordinal in ordinals]
     keys = [(r["sensor_id"], parse_timestamp(r["timestamp"])) for r in valid]
     assert sum(scan.total for scan in scans) == len(valid) == 2 * len(rows)
+    assert sum(scan.total + scan.malformed for scan in scans) == len(items)
     tied = [row for row, key in enumerate(keys) if keys.count(key) > 1]
     # Asked for out of record order, as the merge asks by (sensor, timestamp).
     tied.sort(key=lambda row: (keys[row], -row))
     sensor_ids = [keys[row][0] for row in tied]
     timestamps = [keys[row][1] for row in tied]
     got = iotdq.pipeline._digests(
-        np.array(tied, dtype=np.intp), sensor_ids, timestamps, scans, blocks, config
+        np.array([ordinals[row] for row in tied], dtype=np.intp),
+        sensor_ids,
+        timestamps,
+        scans,
+        blocks,
+        config,
     )
     attributes = [
         iotdq.pipeline._attributes(record, "timestamp", "sensor_id")[0]

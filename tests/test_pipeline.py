@@ -341,7 +341,7 @@ class TestForkedScan:
 
         def looking(scans, blocks, config):
             for scan in scans:
-                columns = [scan.malformed, *scan.rows, *scan.stamps]
+                columns = [*scan.rows, *scan.stamps]
                 seen.append({(type(c), _typecode(c)) for c in columns})
             return merge(scans, blocks, config)
 
